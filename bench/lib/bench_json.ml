@@ -713,8 +713,8 @@ let run_e21 job =
    temp dir; [sessions] concurrent [Wcp_serve.Client] feeders each
    stream the SAME generated computation (same seed), so every served
    result must agree — with each other and with the offline streamed
-   reference ([Run_common.with_source] with the exact dispatch
-   [Wcp_serve.Session] uses). [outcome] spells the common served cut,
+   reference ([Run_common.with_source] with the algorithm's offline
+   detector). [outcome] spells the common served cut,
    or a "mismatch" marker; messages/bits/hops/events are summed across
    sessions and deterministic. events_per_sec (aggregate ingest over
    the whole serve window) and the per-session submit-to-result latency

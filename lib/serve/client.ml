@@ -104,10 +104,9 @@ let drain_ready fd rd ~on_metrics ~result =
   in
   go ()
 
-let run_session ?(frames = Protocol.Binary) ?(batch = 1024) ?(rate = 0.)
-    ?kill_after ?(retry = 0.) ?(metrics_every = 0.) ?on_metrics ?(groups = 2)
-    ~addr ~session ~algo ~procs ~seed (src : Computation.Stream.source) =
-  Protocol.ignore_sigpipe ();
+let run_once ~frames ~batch ~rate ~kill_after ~retry ~metrics_every
+    ~on_metrics ~groups ~addr ~session ~algo ~procs ~seed
+    (src : Computation.Stream.source) =
   let batch = max 1 (min batch Frame.max_frame_events) in
   match Protocol.connect ~retry addr with
   | exception Unix.Unix_error (e, _, _) ->
@@ -246,6 +245,27 @@ let run_session ?(frames = Protocol.Binary) ?(batch = 1024) ?(rate = 0.)
       | exception Failure m ->
           finally ();
           Error m)
+
+(* A [session_busy] refusal comes before any event is sent, so trying
+   again is safe; it only outlasts [retry] if another client really
+   holds the session. *)
+let run_session ?(frames = Protocol.Binary) ?(batch = 1024) ?(rate = 0.)
+    ?kill_after ?(retry = 0.) ?(metrics_every = 0.) ?on_metrics ?(groups = 2)
+    ~addr ~session ~algo ~procs ~seed src =
+  Protocol.ignore_sigpipe ();
+  let deadline = Unix.gettimeofday () +. retry in
+  let rec attempt () =
+    match
+      run_once ~frames ~batch ~rate ~kill_after ~retry ~metrics_every
+        ~on_metrics ~groups ~addr ~session ~algo ~procs ~seed src
+    with
+    | Error m when m = Protocol.session_busy && Unix.gettimeofday () < deadline
+      ->
+        Unix.sleepf 0.05;
+        attempt ()
+    | r -> r
+  in
+  attempt ()
 
 (* --- watching ------------------------------------------------------- *)
 

@@ -22,6 +22,16 @@ type outcome = {
   lat_ns : int;
 }
 
+val linearize :
+  Computation.Stream.source ->
+  emit:(proc:int -> kind:int -> dst:int -> msg:int -> pred:bool -> unit) ->
+  unit
+(** The canonical linearization: [emit] sees every event exactly once,
+    in the order {!run_session} sends them ([kind] 0 = send, 1 =
+    receive; [dst] is 0 for receives; [pred] is the flag of the state
+    the event enters).
+    @raise Failure on a receive whose send never comes. *)
+
 type verdict =
   | Completed of outcome
   | Killed of int
@@ -49,8 +59,10 @@ val run_session :
     [frames] (default [Binary]) picks the wire encoding; [batch]
     (default 1024) the events per frame / per write. [rate] caps the
     send rate in events/second (0 = unlimited, the default). [retry]
-    keeps retrying the initial connect for that many seconds (for
-    racing a server that is still binding). [kill_after k] drops the
+    keeps retrying for that many seconds the initial connect (for
+    racing a server that is still binding) and a {!Protocol.session_busy}
+    refusal (for a reconnect racing the server's reaping of the dead
+    previous connection). [kill_after k] drops the
     connection after [k] events — the reconnect test's first act.
     [metrics_every] asks the server for wcp-metrics/1 lines at that
     sim-time cadence, delivered to [on_metrics]. Credit lines are

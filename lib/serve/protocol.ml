@@ -252,6 +252,8 @@ let frames_of_string = function
 
 let obj_to_string o = Json.to_string (Json.Obj o)
 
+let session_busy = "session busy: already has a live connection"
+
 let encode_client = function
   | Hello h ->
       obj_to_string

@@ -105,7 +105,7 @@ type client_msg =
   | Ev of { proc : int; kind : int; dst : int; msg : int; pred : bool }
       (** one event in JSONL mode; [kind] 0 = send, 1 = receive
           ([dst] is meaningful only for sends) *)
-  | Finish  (** end of events; run detection *)
+  | Finish  (** end of events; the [result] line follows *)
 
 type server_msg =
   | Welcome of { session : string; acked : int; credit : int }
@@ -117,14 +117,30 @@ type server_msg =
       (** one raw wcp-metrics/1 line from the session's detection *)
   | Result of {
       session : string;
-      outcome : string;  (** [Detection.pp_outcome] rendering *)
+      outcome : string;
+          (** [Detection.pp_outcome] rendering, byte-identical to the
+              offline [wcpdetect detect] cut for every algorithm *)
       events : int;
-      msgs : int;
-      bits : int;
-      hops : int;
-      lat_ns : int;  (** finish-to-outcome latency *)
+          (** batch algorithms: discrete events the engine-simulated
+              detector processed; online ones ([checker], [parallel]):
+              stream events fed when the outcome was determined — the
+              cut-completing event's index + 1, or every event for
+              [no detection] *)
+      msgs : int;  (** simulated detector messages; 0 online *)
+      bits : int;  (** their wire bits; 0 online *)
+      hops : int;  (** token hops; 0 for the checkers *)
+      lat_ns : int;
+          (** the server's finish-time work, finish sentinel to
+              outcome: slice + detect for batch algorithms, rendering
+              the held cut (about 0) online *)
     }
   | Error_msg of { message : string }
+
+val session_busy : string
+(** The [error] message refusing a [hello] for a session that still has
+    a live connection. A client reconnecting right after its previous
+    connection died may see it before the server has reaped that
+    connection, so it is worth retrying. *)
 
 val encode_client : client_msg -> string
 (** One JSON line, no trailing newline. *)

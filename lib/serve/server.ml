@@ -266,8 +266,8 @@ let find_or_create t (h : Protocol.hello) =
   match Hashtbl.find_opt t.sessions h.session with
   | Some e ->
       Mutex.unlock t.tmu;
-      if Session.has_sender e.sess then Error "session busy: already has a live connection"
-      else Ok (e, false)
+      if Session.claim e.sess then Ok (e, false)
+      else Error Protocol.session_busy
   | None ->
       t.spill_seq <- t.spill_seq + 1;
       let spill_path =
@@ -294,6 +294,7 @@ let find_or_create t (h : Protocol.hello) =
             let slots = Array.length t.shards in
             let shard = if slots = 0 then 0 else Session.shard_key sess mod slots in
             let e = { sess; shard; queued = false } in
+            ignore (Session.claim sess : bool);
             Hashtbl.add t.sessions h.session e;
             Ok (e, true)
         | Error m -> Error m
@@ -419,7 +420,9 @@ let handle_client t fd (h : Protocol.hello) rd =
                 acked = Session.acked e.sess;
                 credit = Session.credit e.sess;
               })
-       with Protocol.Disconnected -> raise Exit);
+       with Protocol.Disconnected ->
+         Session.detach_sender e.sess;
+         raise Exit);
       match Session.attach_sender e.sess sender with
       | Some stored ->
           (* completed while disconnected: deliver and retire *)
@@ -434,9 +437,10 @@ let handle_client t fd (h : Protocol.hello) rd =
           in
           match verdict with
           | `Bad m ->
-              Session.fail e.sess m;
-              (try sender (Protocol.Error_msg { message = m })
-               with Protocol.Disconnected -> ());
+              (match Session.abort e.sess m with
+              | Some line -> (
+                  try sender line with Protocol.Disconnected -> ())
+              | None -> ());
               Session.detach_sender e.sess;
               t.cfg.log (Printf.sprintf "session %s: protocol error: %s" h.session m);
               remove_session t e

@@ -12,7 +12,9 @@
     - {e shard workers}, one per domain of a {!Wcp_util.Parallel}
       scoped pool, each owning the sessions whose
       {!Session.shard_key} maps to its slot. A worker drains rings
-      into slice builders and runs detection at finish. The stable
+      into slice builders — online algorithms eliminate candidates as
+      they drain, batch ones detect on the slice at finish — and sends
+      each session's terminal [result]/[error] line. The stable
       session→domain affinity keeps every session's slicing and
       detection on one domain, so per-session results are
       byte-identical whatever else the server is doing (detection is
@@ -29,7 +31,9 @@ type config = {
   ring : int;  (** per-session ring capacity in events (default 4096) *)
   batch : int;  (** events per drain visit / decode flush (default 1024) *)
   spool_dir : string;  (** spill files live here *)
-  max_sessions : int;  (** stop after this many results; 0 = run until {!stop} *)
+  max_sessions : int;
+      (** stop after this many sessions complete with a [result] or a
+          worker-reported [error]; 0 = run until {!stop} *)
   drain_delay : float;
       (** artificial pause (seconds) after each drained batch — a
           deliberately slow worker for spill/backpressure tests and

@@ -1,6 +1,7 @@
 (* One streaming detection session: bounded ring + disk spill feeding
-   an incremental slicer, detection at finish. See session.mli for the
-   threading contract. *)
+   an incremental slicer. Online algorithms hold their cut as events
+   are fed; batch algorithms detect on the finished slice. See
+   session.mli for the threading contract. *)
 
 open Wcp_trace
 open Wcp_core
@@ -22,19 +23,130 @@ type config = {
 
 let event_bytes = Frame.event_bytes
 
-let keep_rest_of = function "token-dd" | "token-dd-par" -> true | _ -> false
+(* --- the algorithm table ------------------------------------------- *)
 
-let known_algo = function
-  | "token-vc" | "multi-token" | "token-dd" | "token-dd-par" | "checker"
-  | "parallel" ->
-      true
-  | _ -> false
+type runner =
+  recorder:Wcp_obs.Recorder.t option ->
+  groups:int ->
+  seed:int64 ->
+  Computation.t ->
+  Spec.t ->
+  Detection.result
+
+(* [Online] algorithms eliminate candidates while events are fed (see
+   [offer] below); [Batch] ones have no honest online form and run on
+   the finished slice. [keep_rest]: the algorithm's cuts span all N
+   processes, so the slice keeps every state of the non-spec ones. *)
+type mode = Online | Batch of runner
+
+type algo = { name : string; keep_rest : bool; mode : mode }
+
+let algos =
+  let options = Detection.default_options in
+  let batch ?(keep_rest = false) name run = { name; keep_rest; mode = Batch run } in
+  [
+    batch "token-vc" (fun ~recorder ~groups:_ ~seed c s ->
+        Token_vc.detect ?recorder ~options ~seed c s);
+    batch "multi-token" (fun ~recorder ~groups ~seed c s ->
+        Token_multi.detect ?recorder ~options
+          ~groups:(min groups (Spec.width s))
+          ~seed c s);
+    batch ~keep_rest:true "token-dd" (fun ~recorder ~groups:_ ~seed c s ->
+        Token_dd.detect ?recorder ~options ~seed c s);
+    batch ~keep_rest:true "token-dd-par" (fun ~recorder ~groups:_ ~seed c s ->
+        Token_dd.detect ?recorder ~options ~parallel:true ~seed c s);
+    { name = "checker"; keep_rest = false; mode = Online };
+    { name = "parallel"; keep_rest = false; mode = Online };
+  ]
+
+(* --- online detection ---------------------------------------------- *)
+
+(* Garg–Waldecker queue elimination, Checker_centralized's fill/drive
+   on dense clocks: each predicate-true state of spec slot k is offered
+   with its vector clock as the slicer enters it, and (i, s) happened
+   before (j, t) iff vc(j, t).(i) >= s. After every drive the standing
+   candidates are pairwise concurrent and every empty slot has an empty
+   queue, so the first time all slots are filled they form the least
+   satisfying cut — held at the event that completed it. *)
+type cand = { st : int; vc : int array }
+
+type online = {
+  oprocs : int array;  (* slot -> process *)
+  slot : int array;  (* process -> slot, -1 outside the spec *)
+  mutable queues : cand Queue.t array;  (* dropped once the cut is held *)
+  cands : cand option array;
+  mutable filled : int;
+  mutable held : (int array * int) option;  (* cut states, events fed *)
+}
+
+let online_create ~n procs =
+  let slot = Array.make n (-1) in
+  Array.iteri (fun k p -> slot.(p) <- k) procs;
+  let width = Array.length procs in
+  {
+    oprocs = procs;
+    slot;
+    queues = Array.init width (fun _ -> Queue.create ());
+    cands = Array.make width None;
+    filled = 0;
+    held = None;
+  }
+
+let eliminate o k =
+  o.cands.(k) <- None;
+  o.filled <- o.filled - 1
+
+(* Compare the fresh candidate against every standing one; whichever
+   side happened before the other dies. *)
+let fill o k =
+  let c = Queue.pop o.queues.(k) in
+  o.cands.(k) <- Some c;
+  o.filled <- o.filled + 1;
+  let l = ref 0 in
+  while Option.is_some o.cands.(k) && !l < Array.length o.cands do
+    (if !l <> k then
+       match o.cands.(!l) with
+       | Some other ->
+           if other.vc.(o.oprocs.(k)) >= c.st then eliminate o k
+           else if c.vc.(o.oprocs.(!l)) >= other.st then eliminate o !l
+       | None -> ());
+    incr l
+  done
+
+let rec drive o =
+  let progressed = ref false in
+  Array.iteri
+    (fun k q ->
+      if Option.is_none o.cands.(k) && not (Queue.is_empty q) then begin
+        fill o k;
+        progressed := true
+      end)
+    o.queues;
+  if !progressed then drive o
+
+let offer o k ~st ~vc ~events =
+  Queue.add { st; vc } o.queues.(k);
+  if Option.is_none o.cands.(k) then begin
+    drive o;
+    if o.filled = Array.length o.cands then begin
+      o.held <-
+        Some
+          ( Array.map
+              (function Some c -> c.st | None -> assert false)
+              o.cands,
+            events );
+      o.queues <- [||];
+      Array.fill o.cands 0 (Array.length o.cands) None
+    end
+  end
+
+type detector = Eliminating of online | Slicing of runner
 
 type t = {
   cfg : config;
+  det : detector;
   builder : Slice.Incremental.builder;
   cur_pred : bool array;  (* worker-private backing of the keep policy *)
-  member : bool array;
   mu : Mutex.t;
   (* ring (guarded by mu) *)
   rw0 : int array;
@@ -56,6 +168,7 @@ type t = {
   mutable resultv : Protocol.server_msg option;
   mutable delivered : bool;
   mutable sender : (Protocol.server_msg -> unit) option;
+  mutable claimed : bool;  (* a live connection holds the session *)
   (* worker-private drain scratch *)
   mutable dw0 : int array;
   mutable dw1 : int array;
@@ -70,69 +183,88 @@ let fnv1a s =
     s;
   !h land max_int
 
-let create cfg =
-  if not (known_algo cfg.algo) then
-    Error
-      (Printf.sprintf
-         "unknown detection algorithm %S (want token-vc, multi-token, \
-          token-dd, token-dd-par, checker or parallel)"
-         cfg.algo)
-  else if cfg.n <= 0 then Error "n must be positive"
-  else if Array.length cfg.pred0 <> cfg.n then Error "pred0 length <> n"
-  else if
-    Array.length cfg.procs = 0
-    || Array.exists (fun p -> p < 0 || p >= cfg.n) cfg.procs
-  then Error "procs must be a nonempty subset of 0..n-1"
-  else begin
-    let procs = Array.copy cfg.procs in
-    Array.sort compare procs;
-    let procs =
-      Array.of_list (List.sort_uniq compare (Array.to_list procs))
-    in
-    let cfg = { cfg with procs; ring = max 16 cfg.ring } in
-    let member = Array.make cfg.n false in
-    Array.iter (fun p -> member.(p) <- true) procs;
-    let cur_pred = Array.copy cfg.pred0 in
-    let keep_rest = keep_rest_of cfg.algo in
-    (* Same policy as Slice.for_spec_source: spec processes keep their
-       predicate-true states, the rest keep everything iff the
-       algorithm's cuts span all N processes. The builder consults
-       [keep] synchronously as each state is entered, so the mutable
-       [cur_pred] cell always holds that state's flag. *)
-    let keep ~proc ~state:_ =
-      if member.(proc) then cur_pred.(proc) else keep_rest
-    in
-    let builder =
-      Slice.Incremental.create ~n:cfg.n ~keep ~pred0:(fun p -> cfg.pred0.(p))
-    in
-    Ok
-      {
-        cfg;
-        builder;
-        cur_pred;
-        member;
-        mu = Mutex.create ();
-        rw0 = Array.make cfg.ring 0;
-        rw1 = Array.make cfg.ring 0;
-        head = 0;
-        live = 0;
-        spill_fd = None;
-        spilling = false;
-        sp_wbytes = 0;
-        sp_rbytes = 0;
-        sp_stage = Bytes.create 0;
-        received = 0;
-        fedv = 0;
-        last_credit = 0;
-        finish_req = false;
-        failed = None;
-        resultv = None;
-        delivered = false;
-        sender = None;
-        dw0 = [||];
-        dw1 = [||];
-      }
-  end
+let create (cfg : config) =
+  match List.find_opt (fun a -> a.name = cfg.algo) algos with
+  | None ->
+      Error
+        (Printf.sprintf "unknown detection algorithm %S (want one of %s)"
+           cfg.algo
+           (String.concat ", " (List.map (fun a -> a.name) algos)))
+  | Some algo ->
+      if cfg.n <= 0 then Error "n must be positive"
+      else if Array.length cfg.pred0 <> cfg.n then Error "pred0 length <> n"
+      else if
+        Array.length cfg.procs = 0
+        || Array.exists (fun p -> p < 0 || p >= cfg.n) cfg.procs
+      then Error "procs must be a nonempty subset of 0..n-1"
+      else begin
+        let procs =
+          Array.of_list (List.sort_uniq compare (Array.to_list cfg.procs))
+        in
+        let cfg = { cfg with procs; ring = max 16 cfg.ring } in
+        let member = Array.make cfg.n false in
+        Array.iter (fun p -> member.(p) <- true) procs;
+        let cur_pred = Array.copy cfg.pred0 in
+        (* Batch algorithms: the policy of Slice.for_spec_source — spec
+           processes keep their predicate-true states, the rest keep
+           everything iff the algorithm's cuts span all N processes. The
+           builder consults [keep] synchronously as each state is
+           entered, so the mutable [cur_pred] cell always holds that
+           state's flag. Online algorithms read clocks straight off the
+           builder and keep no anchors at all. *)
+        let keep =
+          match algo.mode with
+          | Online -> fun ~proc:_ ~state:_ -> false
+          | Batch _ ->
+              fun ~proc ~state:_ ->
+                if member.(proc) then cur_pred.(proc) else algo.keep_rest
+        in
+        let builder =
+          Slice.Incremental.create ~n:cfg.n ~keep ~pred0:(fun p -> cfg.pred0.(p))
+        in
+        let det =
+          match algo.mode with
+          | Batch run -> Slicing run
+          | Online ->
+              let o = online_create ~n:cfg.n procs in
+              Array.iteri
+                (fun k p ->
+                  if cfg.pred0.(p) && Option.is_none o.held then
+                    offer o k ~st:1
+                      ~vc:(Slice.Incremental.clock builder ~proc:p)
+                      ~events:0)
+                procs;
+              Eliminating o
+        in
+        Ok
+          {
+            cfg;
+            det;
+            builder;
+            cur_pred;
+            mu = Mutex.create ();
+            rw0 = Array.make cfg.ring 0;
+            rw1 = Array.make cfg.ring 0;
+            head = 0;
+            live = 0;
+            spill_fd = None;
+            spilling = false;
+            sp_wbytes = 0;
+            sp_rbytes = 0;
+            sp_stage = Bytes.create 0;
+            received = 0;
+            fedv = 0;
+            last_credit = 0;
+            finish_req = false;
+            failed = None;
+            resultv = None;
+            delivered = false;
+            sender = None;
+            claimed = false;
+            dw0 = [||];
+            dw1 = [||];
+          }
+      end
 
 let id t = t.cfg.id
 
@@ -245,6 +377,18 @@ let fail_locked t msg = if t.failed = None then t.failed <- Some msg
 
 let fail t msg = locked t (fun () -> fail_locked t msg)
 
+let abort t msg =
+  locked t (fun () ->
+      fail_locked t msg;
+      (match (t.resultv, t.failed) with
+      | None, Some m -> t.resultv <- Some (Protocol.Error_msg { message = m })
+      | _ -> ());
+      if t.delivered then None
+      else begin
+        t.delivered <- true;
+        t.resultv
+      end)
+
 let push_batch t ~words ~metas k =
   if k > 0 then
     locked t (fun () ->
@@ -300,9 +444,16 @@ let attach_sender t w =
           Some (Protocol.Error_msg { message = m })
       | _ -> None)
 
-let detach_sender t = locked t (fun () -> t.sender <- None)
+let detach_sender t =
+  locked t (fun () ->
+      t.sender <- None;
+      t.claimed <- false)
 
-let has_sender t = locked t (fun () -> t.sender <> None)
+let claim t =
+  locked t (fun () ->
+      let free = not t.claimed in
+      t.claimed <- true;
+      free)
 
 let send t msg =
   match locked t (fun () -> t.sender) with
@@ -323,7 +474,8 @@ let ensure_scratch t max =
 
 let take_batch t max =
   locked t (fun () ->
-      if t.failed <> None || t.resultv <> None then `Skip
+      if t.resultv <> None then `Skip
+      else if t.failed <> None then `Ready
       else begin
         ensure_scratch t max;
         let cap = t.cfg.ring in
@@ -360,7 +512,14 @@ let feed_one t ~word ~meta =
       invalid_arg
         (Printf.sprintf "send destination %d out of range (n=%d)" dst t.cfg.n);
     Slice.Incremental.on_send t.builder ~proc ~dst ~msg:(word lsr 24) ~pred
-  end
+  end;
+  match t.det with
+  | Eliminating ({ held = None; _ } as o) when pred && o.slot.(proc) >= 0 ->
+      offer o o.slot.(proc)
+        ~st:(Slice.Incremental.state t.builder ~proc)
+        ~vc:(Slice.Incremental.clock t.builder ~proc)
+        ~events:(Slice.Incremental.events_fed t.builder)
+  | Eliminating _ | Slicing _ -> ()
 
 let drain t ~max =
   match take_batch t max with
@@ -390,25 +549,10 @@ let completed t = locked t (fun () -> t.resultv <> None)
 
 (* --- detection ----------------------------------------------------- *)
 
-let dispatch ?recorder algo ~groups ~seed comp spec =
-  let options = Detection.default_options in
-  match algo with
-  | "token-vc" -> Token_vc.detect ?recorder ~options ~seed comp spec
-  | "multi-token" ->
-      Token_multi.detect ?recorder ~options
-        ~groups:(min groups (Spec.width spec))
-        ~seed comp spec
-  | "token-dd" -> Token_dd.detect ?recorder ~options ~seed comp spec
-  | "token-dd-par" ->
-      Token_dd.detect ?recorder ~options ~parallel:true ~seed comp spec
-  | "checker" -> Checker_centralized.detect ?recorder ~options ~seed comp spec
-  | "parallel" -> Checker_parallel.detect ?recorder ~options ~seed comp spec
-  | a -> failwith ("unknown algorithm " ^ a)
-
-(* Mirrors Run_common.with_source: slice phase mark, slice, re-spec,
-   detect, remap — so the served cut is byte-identical to the offline
-   [wcpdetect detect] rendering of the same trace. *)
-let run_detection t ?recorder () =
+(* Batch: mirrors Run_common.with_source — slice phase mark, slice,
+   re-spec, detect, remap — so the served cut is byte-identical to the
+   offline [wcpdetect detect] rendering of the same trace. *)
+let run_batch t run ~recorder =
   (match recorder with
   | None -> ()
   | Some r ->
@@ -418,45 +562,81 @@ let run_detection t ?recorder () =
   let sliced = Slice.computation sl in
   let spec' = Spec.make sliced t.cfg.procs in
   let r =
-    dispatch ?recorder t.cfg.algo ~groups:t.cfg.groups ~seed:t.cfg.seed sliced
-      spec'
+    run ~recorder ~groups:t.cfg.groups ~seed:t.cfg.seed sliced spec'
   in
-  let outcome =
-    Detection.remap_outcome (Slice.remap_cut sl) r.Detection.outcome
-  in
-  ( Format.asprintf "%a" Detection.pp_outcome outcome,
+  ( Detection.remap_outcome (Slice.remap_cut sl) r.Detection.outcome,
     r.Detection.events,
     Wcp_sim.Stats.total_sent r.Detection.stats,
     Wcp_sim.Stats.total_bits r.Detection.stats,
     r.Detection.extras.Detection.token_hops )
 
+(* Online: the outcome was settled while the stream was fed; only the
+   verdict is narrated, so a metrics session still gets a well-formed
+   wcp-metrics/1 stream. No simulated network runs. *)
+let run_online t o ~recorder =
+  let procs = t.cfg.procs in
+  let outcome, events =
+    match o.held with
+    | Some (states, events) ->
+        (Detection.Detected (Cut.make ~procs ~states), events)
+    | None -> (Detection.No_detection, Slice.Incremental.events_fed t.builder)
+  in
+  (match recorder with
+  | None -> ()
+  | Some r ->
+      let emit body = Wcp_obs.Recorder.emit r ~time:0.0 ~proc:(-1) body in
+      emit
+        (Wcp_obs.Event.Run_meta
+           { algo = t.cfg.algo; n = t.cfg.n; width = Array.length procs });
+      emit (Wcp_obs.Event.Phase_marked { name = "detect" });
+      emit
+        (match outcome with
+        | Detection.Detected c ->
+            Wcp_obs.Event.Detected { procs = c.Cut.procs; states = c.Cut.states }
+        | Detection.No_detection | Detection.Undetectable_crashed _ ->
+            Wcp_obs.Event.No_detection_declared));
+  (outcome, events, 0, 0, 0)
+
 let detect t ~on_metrics =
   let cfg = t.cfg in
-  let recorder, close_tel =
-    match on_metrics with
-    | Some sink when cfg.metrics_every > 0. ->
-        let tel =
-          Wcp_obs.Telemetry.create ~every:cfg.metrics_every ~sink ()
-        in
-        let r = Wcp_obs.Recorder.create ~capacity:1 () in
-        Wcp_obs.Telemetry.attach tel r;
-        (Some r, fun () -> Wcp_obs.Telemetry.close tel)
-    | _ -> (None, fun () -> ())
-  in
-  let t0 = Unix.gettimeofday () in
   let msg =
-    match run_detection t ?recorder () with
-    | outcome, events, msgs, bits, hops ->
-        close_tel ();
-        let lat_ns =
-          int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+    match locked t (fun () -> t.failed) with
+    | Some m -> Protocol.Error_msg { message = m }
+    | None -> (
+        let recorder, close_tel =
+          match on_metrics with
+          | Some sink when cfg.metrics_every > 0. ->
+              let tel =
+                Wcp_obs.Telemetry.create ~every:cfg.metrics_every ~sink ()
+              in
+              let r = Wcp_obs.Recorder.create ~capacity:1 () in
+              Wcp_obs.Telemetry.attach tel r;
+              (Some r, fun () -> Wcp_obs.Telemetry.close tel)
+          | _ -> (None, fun () -> ())
         in
-        Protocol.Result
-          { session = cfg.id; outcome; events; msgs; bits; hops; lat_ns }
-    | exception e ->
-        close_tel ();
-        Protocol.Error_msg
-          { message = "detection failed: " ^ Printexc.to_string e }
+        let t0 = Unix.gettimeofday () in
+        match
+          match t.det with
+          | Eliminating o -> run_online t o ~recorder
+          | Slicing run -> run_batch t run ~recorder
+        with
+        | outcome, events, msgs, bits, hops ->
+            close_tel ();
+            let lat_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+            Protocol.Result
+              {
+                session = cfg.id;
+                outcome = Format.asprintf "%a" Detection.pp_outcome outcome;
+                events;
+                msgs;
+                bits;
+                hops;
+                lat_ns;
+              }
+        | exception e ->
+            close_tel ();
+            Protocol.Error_msg
+              { message = "detection failed: " ^ Printexc.to_string e })
   in
   locked t (fun () -> t.resultv <- Some msg);
   msg

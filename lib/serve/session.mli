@@ -1,9 +1,17 @@
 (** One streaming detection session: a bounded in-memory ingest ring
-    with disk spill, feeding an incremental slice builder and, at
-    finish, a detector (DESIGN.md §13).
+    with disk spill, feeding an incremental slice builder and a
+    detector (DESIGN.md §13).
 
-    Threading contract: {!push_batch}, {!request_finish}, {!fail},
-    {!attach_sender} and {!detach_sender} may be called from any
+    The detector is online or batch, per algorithm. The online ones
+    ([checker], [parallel]) run Garg–Waldecker queue elimination on the
+    dense clock of every predicate-true spec state as it is fed, and
+    hold the cut the moment its completing event is fed; they keep no
+    slice anchors, and {!detect} only renders the held outcome. The
+    token algorithms have no honest online form: they slice as events
+    are fed and run the engine-simulated detector on the finished slice.
+
+    Threading contract: {!push_batch}, {!request_finish}, {!abort},
+    {!claim}, {!attach_sender} and {!detach_sender} may be called from any
     thread (the server's connection threads); {!drain} and {!detect}
     must only ever be called by the session's owning shard worker —
     the builder and scratch buffers are worker-private. Counters and
@@ -60,10 +68,12 @@ val push_batch : t -> words:int array -> metas:int array -> int -> unit
 val request_finish : t -> unit
 (** No more events; run detection once everything fed. Idempotent. *)
 
-val fail : t -> string -> unit
-(** Poison the session (protocol violation, decode error): drains
-    become no-ops and the stored error is reported instead of a
-    result. First failure wins. *)
+val abort : t -> string -> Protocol.server_msg option
+(** Poison the session from its connection (protocol violation, decode
+    error) and claim its terminal line: the first failure becomes the
+    stored [Error] line unless a terminal line was already stored.
+    Returns that line if it was not yet delivered — the caller writes
+    it itself, and it is marked delivered — else [None]. *)
 
 val acked : t -> int
 (** Events durably accepted (ring + spill), for [welcome]/[credit]. *)
@@ -80,12 +90,16 @@ val attach_sender : t -> (Protocol.server_msg -> unit) -> Protocol.server_msg op
     it and closes; it is marked delivered. *)
 
 val detach_sender : t -> unit
-(** The connection died; metrics/credit/result lines are stored or
-    dropped until a reconnect. *)
+(** The connection is done with the session (died, or finished): it
+    releases its {!claim}, and metrics/credit/result lines are stored
+    or dropped until a reconnect. *)
 
-val has_sender : t -> bool
-(** Whether a live connection currently owns this session (a second
-    concurrent [hello] for the same id is refused, not queued). *)
+val claim : t -> bool
+(** Take the session for a connection, atomically: [false] if another
+    live connection already holds it (a second concurrent [hello] for
+    the same id is refused, not queued). Held from the [hello] until
+    {!detach_sender}, so a reconnect cannot slip in before the holder
+    has attached its writer or pushed its last events. *)
 
 val send : t -> Protocol.server_msg -> unit
 (** Write through the attached sender, if any; a dead peer detaches
@@ -95,14 +109,20 @@ val send : t -> Protocol.server_msg -> unit
 
 type progress =
   | Drained of int  (** events fed to the builder this visit; more may remain *)
-  | Ready  (** finish requested and every accepted event fed: detect now *)
-  | Idle  (** nothing to do (no data, or already completed/failed) *)
+  | Ready
+      (** detect now: finish requested and every accepted event fed,
+          or the session failed (its [Error] line is due) *)
+  | Idle  (** nothing to do (no data, or the terminal line is stored) *)
 
 val drain : t -> max:int -> progress
 (** Feed up to [max] queued events (ring first, then spill, preserving
-    arrival order) into the slice builder. A feed error (unknown
-    message id, out-of-range process) poisons the session and reports
-    through the stored error. *)
+    arrival order) into the slice builder — and, for an online
+    algorithm, each predicate-true spec state into the elimination
+    until the cut is held. Every event is fed even after that, so a
+    stream that turns malformed later is still rejected. A feed or push
+    error (unknown message id, out-of-range process) poisons the
+    session, and the next drain reports {!Ready} so the error goes out
+    as its terminal line without waiting for finish. *)
 
 val fed : t -> int
 (** Events fed to the builder so far. *)
@@ -116,12 +136,15 @@ val credit_sent : t -> unit
 val completed : t -> bool
 
 val detect : t -> on_metrics:(string -> unit) option -> Protocol.server_msg
-(** Run the configured detector over the finished slice — mirroring
-    the offline [Run_common.with_source] sequence, so the served cut
-    is byte-identical to [wcpdetect detect] on the same trace — and
-    store + return the [Result] (or [Error]) line. [on_metrics]
-    receives raw wcp-metrics/1 lines during the run (capacity-1
-    recorder, bounded memory). Worker-only; call once, on {!Ready}. *)
+(** Store and return the session's terminal line: the [Error] line of a
+    failed session; else the [Result]. Online algorithms render the
+    cut held during {!drain} ([No_detection] if none was); batch ones
+    run the detector over the finished slice, mirroring the offline
+    [Run_common.with_source] sequence. Either way the served cut is
+    byte-identical to [wcpdetect detect] on the same trace.
+    [on_metrics] receives raw wcp-metrics/1 lines (capacity-1
+    recorder, bounded memory); an online session's stream narrates
+    just the verdict. Worker-only; call once, on {!Ready}. *)
 
 val deliver : t -> unit
 (** Send the stored result through the live connection, exactly once:

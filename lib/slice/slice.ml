@@ -105,6 +105,10 @@ module Incremental = struct
 
   let retained b = b.nretained
 
+  let state b ~proc = b.procs.(proc).state
+
+  let clock b ~proc = Array.copy b.procs.(proc).vc
+
   (* Greatest anchor ordinal of [ps] with [dense <= x], or -1. *)
   let anchor_below ps x =
     let lo = ref 0 and hi = ref (ps.anchors.len - 1) and found = ref (-1) in

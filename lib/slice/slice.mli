@@ -131,6 +131,16 @@ module Incremental : sig
   val retained : builder -> int
   (** Anchors so far. *)
 
+  val state : builder -> proc:int -> int
+  (** The dense index of [proc]'s current state (1 before its first
+      event). *)
+
+  val clock : builder -> proc:int -> int array
+  (** A copy of the dense vector clock of [proc]'s current state:
+      entry [i] is the latest state of process [i] in its causal past,
+      so (i, s) happened before (j, t), i <> j, iff
+      [(clock b ~proc:j).(i) >= s] taken while [j] was at [t]. *)
+
   val finish : builder -> slice
   (** Materialise the slice from the accumulated anchors and edges.
       O(slice size); the builder must not be fed afterwards. *)
