@@ -39,7 +39,7 @@ bench-smoke:
 
 # Everything a PR should pass: build, tests, the smoke perf gate, and
 # the CLI-level store/telemetry/service gates.
-check: build test bench-smoke btrace-check telemetry-check serve-check
+check: build test bench-smoke trace-check btrace-check telemetry-check serve-check
 
 # Full chaos matrix (drop rate x size x seed, token-vc + token-dd vs
 # the fault-free oracle). A bounded smoke of the same test always runs

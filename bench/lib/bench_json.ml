@@ -1,254 +1,9 @@
 open Wcp_trace
 open Wcp_core
+module Json = Wcp_obs.Export.Json
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  let rec emit buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        (* %.17g round-trips any double through float_of_string. *)
-        let s = Printf.sprintf "%.17g" f in
-        Buffer.add_string buf s;
-        (* Keep it a JSON number that re-parses as a float. *)
-        if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then
-          Buffer.add_string buf ".0"
-    | Str s ->
-        Buffer.add_char buf '"';
-        String.iter
-          (fun c ->
-            match c with
-            | '"' -> Buffer.add_string buf "\\\""
-            | '\\' -> Buffer.add_string buf "\\\\"
-            | '\n' -> Buffer.add_string buf "\\n"
-            | '\t' -> Buffer.add_string buf "\\t"
-            | '\r' -> Buffer.add_string buf "\\r"
-            | c when Char.code c < 0x20 ->
-                Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-            | c -> Buffer.add_char buf c)
-          s;
-        Buffer.add_char buf '"'
-    | List xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj kvs ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf (Str k);
-            Buffer.add_char buf ':';
-            emit buf v)
-          kvs;
-        Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 4096 in
-    emit buf t;
-    Buffer.contents buf
-
-  (* Recursive-descent parser, sufficient for the documents this module
-     emits (and ordinary hand-edited baselines). *)
-  let parse s =
-    let len = String.length s in
-    let pos = ref 0 in
-    let error fmt =
-      Printf.ksprintf (fun m ->
-          raise (Parse_error (Printf.sprintf "at byte %d: %s" !pos m)))
-        fmt
-    in
-    let peek () = if !pos < len then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < len
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < len && s.[!pos] = c then incr pos
-      else error "expected %c" c
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= len && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else error "bad literal"
-    in
-    let number () =
-      let start = !pos in
-      let is_float = ref false in
-      while
-        !pos < len
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' -> true
-        | '.' | 'e' | 'E' ->
-            is_float := true;
-            true
-        | _ -> false
-      do
-        incr pos
-      done;
-      let tok = String.sub s start (!pos - start) in
-      if !is_float then Float (float_of_string tok)
-      else
-        match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> Float (float_of_string tok)
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= len then error "unterminated string";
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= len then error "unterminated escape";
-             match s.[!pos] with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | '/' -> Buffer.add_char buf '/'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'r' -> Buffer.add_char buf '\r'
-             | 'b' -> Buffer.add_char buf '\b'
-             | 'f' -> Buffer.add_char buf '\012'
-             | 'u' ->
-                 if !pos + 4 >= len then error "bad \\u escape";
-                 let code =
-                   int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                 in
-                 (* Only BMP code points below 0x80 are expected here. *)
-                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                 else error "non-ASCII \\u escape unsupported";
-                 pos := !pos + 4
-             | c -> error "bad escape \\%c" c);
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | None -> error "unexpected end of input"
-      | Some '{' ->
-          incr pos;
-          skip_ws ();
-          if peek () = Some '}' then begin
-            incr pos;
-            Obj []
-          end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = string_lit () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  incr pos;
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  incr pos;
-                  Obj (List.rev ((k, v) :: acc))
-              | _ -> error "expected , or } in object"
-            in
-            members []
-          end
-      | Some '[' ->
-          incr pos;
-          skip_ws ();
-          if peek () = Some ']' then begin
-            incr pos;
-            List []
-          end
-          else begin
-            let rec items acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  incr pos;
-                  items (v :: acc)
-              | Some ']' ->
-                  incr pos;
-                  List (List.rev (v :: acc))
-              | _ -> error "expected , or ] in array"
-            in
-            items []
-          end
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> number ()
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> len then error "trailing garbage";
-    v
-
-  let member name = function
-    | Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> v
-        | None -> raise (Parse_error ("missing field " ^ name)))
-    | _ -> raise (Parse_error ("not an object looking up " ^ name))
-
-  let to_int = function
-    | Int i -> i
-    | j -> raise (Parse_error ("expected int, got " ^ to_string j))
-
-  let to_float = function
-    | Float f -> f
-    | Int i -> float_of_int i
-    | j -> raise (Parse_error ("expected number, got " ^ to_string j))
-
-  let to_str = function
-    | Str s -> s
-    | j -> raise (Parse_error ("expected string, got " ^ to_string j))
-
-  let to_list = function
-    | List l -> l
-    | j -> raise (Parse_error ("expected array, got " ^ to_string j))
-end
-
-(* ------------------------------------------------------------------ *)
-(* Jobs and metrics                                                    *)
+(* Jobs and rows                                                       *)
 (* ------------------------------------------------------------------ *)
 
 type job = {
@@ -266,103 +21,73 @@ type job = {
          / 2 slow-client (E22), else 0 *)
 }
 
-type metrics = {
+(* A row is the job, its outcome, the two timing fields every runner
+   measures, and whatever columns its runner computed — nothing padded
+   for other experiments' sake. *)
+type row = {
   job : job;
-  outcome : string;  (* "detected" | "none"; E17 appends the cut *)
-  states : int;
-  hops : int;
-  polls : int;
-  snapshots : int;
-  merges : int;
-  work : int;
-  max_work : int;
-  messages : int;
-  bits : int;
-  events : int;
-  sim_time : float;
-  (* Fault-recovery work; zero everywhere outside E9 and E19. *)
-  retransmits : int;
-  dups_suppressed : int;
-  net_dropped : int;
-  net_duplicated : int;
-  (* Crash-recovery work (E19's restart arm, schema v7): frames
-     replayed from the transport's retained history on the
-     post-restart reconnect, and the sim time from the monitor's state
-     restore to the run's verdict. Both deterministic; zero when no
-     restore fired. *)
-  replayed : int;
-  recovery_latency : float;
-  (* Trace-derived summaries (schema v3) from a second, traced run of
-     the same job. Recording never touches the engine RNG or stats, so
-     the traced run follows the identical schedule and these are as
-     deterministic as [hops]; the timed run above stays untraced so
-     [wall_ns]/[alloc_bytes] are unaffected. Zero for the adversary. *)
-  trace_events : int;
-  eliminations : int;
-  hop_p50 : float;
-  hop_p95 : float;
-  hop_max : float;
-  elims_per_hop_p50 : float;
-  elims_per_hop_p95 : float;
-  elims_per_hop_max : float;
-  (* Slice shape (E17 sliced arm, schema v5): total states of the
-     sliced computation the detector actually examined. Deterministic;
-     zero for dense runs. *)
-  slice_states : int;
-  (* Parallel-checker round shape (E18, schema v6): barrier rounds,
-     widest frontier (slots advanced in one round) and candidate
-     comparisons. Deterministic and domain-count independent — the
-     frozen-frontier rounds compute the same thresholds whatever the
-     fan-out — so they sit with the replayable fields, not the timing
-     block. Zero for every other detector. *)
-  par_rounds : int;
-  par_frontier : int;
-  par_items : int;
-  (* Span-tree summaries (schema v8), derived from the same traced run:
-     per span-kind p50/p95 durations in sim time (token hops in flight,
-     parallel-checker rounds, crash-recovery windows, retransmit
-     bursts; see Wcp_obs.Span). Deterministic; zero for kinds the run
-     never produced, for the adversary and for E15. *)
-  span_token_p50 : float;
-  span_token_p95 : float;
-  span_round_p50 : float;
-  span_round_p95 : float;
-  span_recovery_p50 : float;
-  span_recovery_p95 : float;
-  span_retx_p50 : float;
-  span_retx_p95 : float;
-  (* Telemetry plane (schema v8): lines of the wcp-metrics/1 stream an
-     attached telemetry tap emits for this run (replayed from the
-     traced events with allocation sampling stripped). Deterministic.
-     E20's param=1 rows additionally carry the plane INSIDE the timed
-     run, so their wall_ns prices always-on telemetry. *)
-  telemetry_lines : int;
-  (* Trace-store shape (E21, schema v9): bytes of the on-disk trace the
-     job detected from (text for param=0, btrace for param=1).
-     Deterministic — both formats are byte-stable functions of the
-     generated run. Zero outside E21. *)
-  trace_bytes : int;
-  (* Machine-dependent; excluded from determinism comparisons. *)
-  decode_ns : int;
-      (* E21 load step: text decode to the dense computation (param=0)
-         or btrace open + streamed slice construction (param=1) *)
-  peak_words : int;
-      (* E21: live-heap words the load step left behind (Gc.live_words
-         delta across it) — the bounded-memory evidence: the streamed
-         arm's figure tracks the slice, not the trace length *)
-  slice_ns : int;  (* slice-construction overhead (E17 sliced arm) *)
-  (* Streaming-service throughput (E22, schema v10): aggregate ingest
-     events/second across the row's sessions and per-session
-     submit-to-result latency percentiles — all wall-derived, so
-     machine-dependent like [wall_ns]. E22 reuses [peak_words] for the
-     slow-client arm's sampled heap growth while serving. Zero outside
-     E22. *)
-  events_per_sec : float;
-  lat_p50_ns : int;
-  lat_p95_ns : int;
+  outcome : string;
   wall_ns : int;
   alloc_bytes : int;
+  cols : (string * Json.t) list;
 }
+
+(* Wall-clock and GC-state derived: excluded from every determinism
+   comparison. *)
+let machine_columns =
+  [
+    "wall_ns"; "alloc_bytes"; "slice_ns"; "decode_ns"; "peak_words";
+    "events_per_sec"; "lat_p50_ns"; "lat_p95_ns";
+  ]
+
+let is_zero = function
+  | Json.Int 0 -> true
+  | Json.Float f -> f = 0.0
+  | _ -> false
+
+(* Zero columns are dropped (a missing column reads as zero) and the
+   rest kept in name order, so equal rows are equal lists. *)
+let row job outcome ~wall_ns ~alloc_bytes cols =
+  let cols = List.filter (fun (_, v) -> not (is_zero v)) cols in
+  {
+    job;
+    outcome;
+    wall_ns;
+    alloc_bytes;
+    cols = List.sort (fun (a, _) (b, _) -> String.compare a b) cols;
+  }
+
+let float_col r name =
+  match List.assoc_opt name r.cols with Some v -> Json.to_float v | None -> 0.0
+
+let int_col r name =
+  match List.assoc_opt name r.cols with
+  | Some (Json.Int i) -> i
+  | _ -> int_of_float (float_col r name)
+
+let ns_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+
+(* The columns of a detection run: its costs and its simulated time. *)
+let result_cols (r : Detection.result) =
+  let st = r.stats and x = r.extras in
+  Json.
+    [
+      ("hops", Int x.Detection.token_hops);
+      ("polls", Int x.Detection.polls);
+      ("snapshots", Int x.Detection.snapshots);
+      ("merges", Int x.Detection.merges);
+      ("work", Int (Wcp_sim.Stats.total_work st));
+      ("max_work", Int (Wcp_sim.Stats.max_work st));
+      ("messages", Int (Wcp_sim.Stats.total_sent st));
+      ("bits", Int (Wcp_sim.Stats.total_bits st));
+      ("events", Int r.events);
+      ("sim_time", Float r.sim_time);
+    ]
+
+let detector name =
+  match Detectors.find name with
+  | Ok d -> d
+  | Error m -> invalid_arg ("Bench_json: " ^ m)
 
 let spec_for job comp =
   match job.experiment with
@@ -422,33 +147,18 @@ let run_sim ?recorder job =
      (identical outcome, remapped cut), param=0 on the dense run. *)
   let slice = job.experiment = "E17" && job.param <> 0 in
   let options = Detection.options ~delta ~slice () in
+  (* [param] is multi-token's group count in E3; in E16/E17/E19 it is
+     the delta/slice/restart flag, so the group count is pinned at 2
+     (the E3 sweet spot). In E18 it is the parallel checker's own
+     domain count (not the bench harness parallelism); 0 falls back to
+     WCP_DOMAINS. *)
+  let groups =
+    if List.mem job.experiment [ "E16"; "E17"; "E19" ] then 2 else job.param
+  in
+  let domains = if job.param > 0 then Some job.param else None in
   let r =
-    match job.algo with
-    | "token-vc" -> Token_vc.detect ?fault ?recorder ~options ~seed comp spec
-    | "token-dd" -> Token_dd.detect ?fault ?recorder ~options ~seed comp spec
-    | "token-dd-par" ->
-        Token_dd.detect ?fault ?recorder ~parallel:true ~options ~seed comp
-          spec
-    | "token-multi" ->
-        (* In E16/E17/E19 [param] is the delta/slice/restart flag, so
-           the group count is pinned at 2 (the E3 sweet spot). *)
-        let groups =
-          if
-            job.experiment = "E16" || job.experiment = "E17"
-            || job.experiment = "E19"
-          then 2
-          else job.param
-        in
-        Token_multi.detect ?fault ?recorder ~options ~groups ~seed comp spec
-    | "checker" ->
-        Checker_centralized.detect ?recorder ~options ~seed comp spec
-    | "parallel" ->
-        (* E18: [param] is the domain count of the parallel checker
-           itself (the detector's own fan-out, not the bench harness
-           parallelism); param=0 falls back to WCP_DOMAINS. *)
-        let domains = if job.param > 0 then Some job.param else None in
-        Checker_parallel.detect ?recorder ?domains ~options ~seed comp spec
-    | a -> invalid_arg ("Bench_json.run_job: unknown algo " ^ a)
+    (detector job.algo).run ?fault ?recorder ~options ~groups ?domains ~seed
+      comp spec
   in
   (comp, r)
 
@@ -458,7 +168,7 @@ let run_sim ?recorder job =
 
 (* One E15 job = a fixed batch of [e15_sessions] independent detection
    sessions (same workload shape, session seeds 1..k) pushed through
-   [Parallel.map] with [job.param] domains. All deterministic fields
+   [Parallel.map] with [job.param] domains. All deterministic columns
    are batch aggregates, so an E15 row is identical whatever domain
    count produced it; [outcome] is "ok" iff the per-session summaries
    are byte-identical to a sequential (1-domain) reference run of the
@@ -467,99 +177,40 @@ let run_sim ?recorder job =
    may vary with the domain count. *)
 let e15_sessions = 24
 
-type e15_session = {
-  s_outcome : Detection.outcome;
-  s_states : int;
-  s_hops : int;
-  s_snapshots : int;
-  s_work : int;
-  s_max_work : int;
-  s_messages : int;
-  s_bits : int;
-  s_events : int;
-  s_sim_time : float;
-}
-
 let run_e15 job =
   if job.param < 1 then
     invalid_arg "Bench_json: E15 param is the domain count (>= 1)";
   let session seed =
     let comp, r = run_sim { job with seed; param = 0 } in
-    {
-      s_outcome = r.Detection.outcome;
-      s_states = Computation.total_states comp;
-      s_hops = r.extras.Detection.token_hops;
-      s_snapshots = r.extras.Detection.snapshots;
-      s_work = Wcp_sim.Stats.total_work r.stats;
-      s_max_work = Wcp_sim.Stats.max_work r.stats;
-      s_messages = Wcp_sim.Stats.total_sent r.stats;
-      s_bits = Wcp_sim.Stats.total_bits r.stats;
-      s_events = r.events;
-      s_sim_time = r.sim_time;
-    }
+    ( r.Detection.outcome,
+      ("states", Json.Int (Computation.total_states comp)) :: result_cols r )
   in
   let session_seeds = Array.init e15_sessions (fun i -> i + 1) in
   Gc.minor ();
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   let batch = Wcp_util.Parallel.map ~domains:job.param session session_seeds in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  let wall_ns = ns_since t0 in
   let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
   (* The reference run sits outside the timed window: sessions/sec is
      the parallel batch only. *)
   let reference = Wcp_util.Parallel.map ~domains:1 session session_seeds in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 batch in
-  {
-    job;
-    outcome = (if batch = reference then "ok" else "mismatch");
-    states = sum (fun s -> s.s_states);
-    hops = sum (fun s -> s.s_hops);
-    polls = 0;
-    snapshots = sum (fun s -> s.s_snapshots);
-    merges = 0;
-    work = sum (fun s -> s.s_work);
-    max_work = Array.fold_left (fun acc s -> max acc s.s_max_work) 0 batch;
-    messages = sum (fun s -> s.s_messages);
-    bits = sum (fun s -> s.s_bits);
-    events = sum (fun s -> s.s_events);
-    sim_time = Array.fold_left (fun acc s -> acc +. s.s_sim_time) 0.0 batch;
-    retransmits = 0;
-    dups_suppressed = 0;
-    net_dropped = 0;
-    net_duplicated = 0;
-    replayed = 0;
-    recovery_latency = 0.0;
-    trace_events = 0;
-    eliminations = 0;
-    hop_p50 = 0.0;
-    hop_p95 = 0.0;
-    hop_max = 0.0;
-    elims_per_hop_p50 = 0.0;
-    elims_per_hop_p95 = 0.0;
-    elims_per_hop_max = 0.0;
-    slice_states = 0;
-    par_rounds = 0;
-    par_frontier = 0;
-    par_items = 0;
-    span_token_p50 = 0.0;
-    span_token_p95 = 0.0;
-    span_round_p50 = 0.0;
-    span_round_p95 = 0.0;
-    span_recovery_p50 = 0.0;
-    span_recovery_p95 = 0.0;
-    span_retx_p50 = 0.0;
-    span_retx_p95 = 0.0;
-    telemetry_lines = 0;
-    trace_bytes = 0;
-    decode_ns = 0;
-    peak_words = 0;
-    slice_ns = 0;
-    events_per_sec = 0.0;
-    lat_p50_ns = 0;
-    lat_p95_ns = 0;
-    wall_ns;
-    alloc_bytes;
-  }
+  (* Batch totals: every column summed, except the busiest process's
+     work, which is the batch maximum. *)
+  let add =
+    List.map2 (fun (k, a) (_, b) ->
+        match (a, b) with
+        | Json.Int a, Json.Int b ->
+            (k, Json.Int (if k = "max_work" then max a b else a + b))
+        | a, b -> (k, Json.Float (Json.to_float a +. Json.to_float b)))
+  in
+  let cols =
+    Array.fold_left (fun acc (_, c) -> add acc c) (snd batch.(0))
+      (Array.sub batch 1 (Array.length batch - 1))
+  in
+  row job
+    (if batch = reference then "ok" else "mismatch")
+    ~wall_ns ~alloc_bytes cols
 
 (* ------------------------------------------------------------------ *)
 (* E21: binary trace store, text/dense vs btrace/streamed              *)
@@ -587,6 +238,7 @@ let run_e21 job =
   in
   let seed = Int64.of_int job.seed in
   let streamed = job.param <> 0 in
+  let d = detector job.algo in
   let path =
     Filename.temp_file "wcp_e21" (if streamed then ".btrace" else ".trace")
   in
@@ -597,7 +249,6 @@ let run_e21 job =
       else Trace_codec.write_file path (Generator.random ~params ~seed ());
       let trace_bytes = (Unix.stat path).Unix.st_size in
       let procs = Array.init job.n Fun.id in
-      let keep_rest = job.algo = "token-dd" in
       let live_words () =
         Gc.full_major ();
         (Gc.stat ()).Gc.live_words
@@ -609,7 +260,7 @@ let run_e21 job =
       let comp, remap =
         if streamed then begin
           let sl =
-            Wcp_slice.Slice.for_spec_source ~keep_rest
+            Wcp_slice.Slice.for_spec_source ~keep_rest:d.keep_rest
               (Btrace.source (Btrace.openfile path))
               ~procs
           in
@@ -617,27 +268,19 @@ let run_e21 job =
         end
         else (Trace_codec.read_file path, Fun.id)
       in
-      let decode_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+      let decode_ns = ns_since t0 in
       let peak_words = max 0 (live_words () - live0) in
       let spec = Spec.make comp procs in
       let options = Detection.options () in
       Gc.minor ();
       let alloc0 = Gc.allocated_bytes () in
       let t0 = Unix.gettimeofday () in
-      let r =
-        match job.algo with
-        | "token-vc" -> Token_vc.detect ~options ~seed comp spec
-        | "token-dd" -> Token_dd.detect ~options ~seed comp spec
-        | "checker" -> Checker_centralized.detect ~options ~seed comp spec
-        | a -> invalid_arg ("Bench_json.run_e21: unsupported algo " ^ a)
-      in
+      let r = d.run ~options ~groups:2 ~seed comp spec in
       (* E21's wall covers the whole pipeline, load included: the load
          step IS what this experiment benchmarks, and the detect-only
          slice of the big row is small enough that scheduler jitter
          would trip the 20% gate on it alone. *)
-      let wall_ns =
-        decode_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-      in
+      let wall_ns = decode_ns + ns_since t0 in
       let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
       let outcome =
         match Detection.remap_outcome remap r.Detection.outcome with
@@ -646,59 +289,18 @@ let run_e21 job =
         | Detection.No_detection -> "none"
         | Detection.Undetectable_crashed _ -> "undetectable"
       in
-      {
-        job;
-        outcome;
+      row job outcome ~wall_ns ~alloc_bytes
         (* Dense states of the recorded run, whichever arm: each of the
            n processes has events + 1 states. *)
-        states = job.n + (job.n * 2 * job.m);
-        hops = r.extras.Detection.token_hops;
-        polls = r.extras.Detection.polls;
-        snapshots = r.extras.Detection.snapshots;
-        merges = r.extras.Detection.merges;
-        work = Wcp_sim.Stats.total_work r.stats;
-        max_work = Wcp_sim.Stats.max_work r.stats;
-        messages = Wcp_sim.Stats.total_sent r.stats;
-        bits = Wcp_sim.Stats.total_bits r.stats;
-        events = r.events;
-        sim_time = r.sim_time;
-        retransmits = 0;
-        dups_suppressed = 0;
-        net_dropped = 0;
-        net_duplicated = 0;
-        replayed = 0;
-        recovery_latency = 0.0;
-        trace_events = 0;
-        eliminations = 0;
-        hop_p50 = 0.0;
-        hop_p95 = 0.0;
-        hop_max = 0.0;
-        elims_per_hop_p50 = 0.0;
-        elims_per_hop_p95 = 0.0;
-        elims_per_hop_max = 0.0;
-        slice_states = (if streamed then Computation.total_states comp else 0);
-        par_rounds = 0;
-        par_frontier = 0;
-        par_items = 0;
-        span_token_p50 = 0.0;
-        span_token_p95 = 0.0;
-        span_round_p50 = 0.0;
-        span_round_p95 = 0.0;
-        span_recovery_p50 = 0.0;
-        span_recovery_p95 = 0.0;
-        span_retx_p50 = 0.0;
-        span_retx_p95 = 0.0;
-        telemetry_lines = 0;
-        trace_bytes;
-        decode_ns;
-        peak_words;
-        slice_ns = 0;
-        events_per_sec = 0.0;
-        lat_p50_ns = 0;
-        lat_p95_ns = 0;
-        wall_ns;
-        alloc_bytes;
-      })
+        ((("states", Json.Int (job.n + (job.n * 2 * job.m))) :: result_cols r)
+        @ Json.
+            [
+              ( "slice_states",
+                Int (if streamed then Computation.total_states comp else 0) );
+              ("trace_bytes", Int trace_bytes);
+              ("decode_ns", Int decode_ns);
+              ("peak_words", Int peak_words);
+            ]))
 
 (* ------------------------------------------------------------------ *)
 (* E22: streaming detection service over a loopback socket             *)
@@ -747,18 +349,13 @@ let run_e22 job =
   let comp = Generator.random ~params ~seed () in
   let procs = Array.init job.n Fun.id in
   let offline =
-    let keep_rest = job.algo = "token-dd" in
-    let options = Detection.default_options in
+    let d = detector job.algo in
     let r =
-      Run_common.with_source ~keep_rest
+      Run_common.with_source ~keep_rest:d.keep_rest
         (Computation.Stream.of_computation comp)
         ~procs
-        ~run:(fun sliced spec ->
-          match job.algo with
-          | "token-vc" -> Token_vc.detect ~options ~seed sliced spec
-          | "token-dd" -> Token_dd.detect ~options ~seed sliced spec
-          | "checker" -> Checker_centralized.detect ~options ~seed sliced spec
-          | a -> invalid_arg ("Bench_json.run_e22: unsupported algo " ^ a))
+        ~run:(fun c s ->
+          d.run ~options:Detection.default_options ~groups:2 ~seed c s)
     in
     Format.asprintf "%a" Detection.pp_outcome r.Detection.outcome
   in
@@ -877,57 +474,19 @@ let run_e22 job =
         Array.sort compare s;
         s.(min (sessions - 1) (int_of_float (q *. float_of_int (sessions - 1) +. 0.5)))
       in
-      {
-        job;
-        outcome;
-        states = job.n + (job.n * 2 * job.m);
-        hops = !hops;
-        polls = 0;
-        snapshots = 0;
-        merges = 0;
-        work = 0;
-        max_work = 0;
-        messages = !msgs;
-        bits = !bits;
-        events = !events;
-        sim_time = 0.0;
-        retransmits = 0;
-        dups_suppressed = 0;
-        net_dropped = 0;
-        net_duplicated = 0;
-        replayed = 0;
-        recovery_latency = 0.0;
-        trace_events = 0;
-        eliminations = 0;
-        hop_p50 = 0.0;
-        hop_p95 = 0.0;
-        hop_max = 0.0;
-        elims_per_hop_p50 = 0.0;
-        elims_per_hop_p95 = 0.0;
-        elims_per_hop_max = 0.0;
-        slice_states = 0;
-        par_rounds = 0;
-        par_frontier = 0;
-        par_items = 0;
-        span_token_p50 = 0.0;
-        span_token_p95 = 0.0;
-        span_round_p50 = 0.0;
-        span_round_p95 = 0.0;
-        span_recovery_p50 = 0.0;
-        span_recovery_p95 = 0.0;
-        span_retx_p50 = 0.0;
-        span_retx_p95 = 0.0;
-        telemetry_lines = 0;
-        trace_bytes = 0;
-        decode_ns = 0;
-        peak_words;
-        slice_ns = 0;
-        events_per_sec;
-        lat_p50_ns = pct 0.50;
-        lat_p95_ns = pct 0.95;
-        wall_ns;
-        alloc_bytes = 0;
-      })
+      row job outcome ~wall_ns ~alloc_bytes:0
+        Json.
+          [
+            ("states", Int (job.n + (job.n * 2 * job.m)));
+            ("hops", Int !hops);
+            ("messages", Int !msgs);
+            ("bits", Int !bits);
+            ("events", Int !events);
+            ("peak_words", Int peak_words);
+            ("events_per_sec", Float events_per_sec);
+            ("lat_p50_ns", Int (pct 0.50));
+            ("lat_p95_ns", Int (pct 0.95));
+          ])
 
 (* One detection run with the full streaming telemetry plane attached:
    a capacity-1 ring whose tap feeds a live [Wcp_obs.Telemetry]. Returns
@@ -969,11 +528,31 @@ let stream_deterministic a b =
   let na = norm a in
   na <> None && na = norm b
 
-let run_job job =
-  if job.experiment = "E15" then run_e15 job
-  else if job.experiment = "E21" then run_e21 job
-  else if job.experiment = "E22" then run_e22 job
-  else begin
+
+(* E6: the §5 lower-bound game is deterministic and has no simulation
+   behind it; its deletions are the work, its rounds the events. *)
+let run_adversary job =
+  Gc.minor ();
+  let alloc0 = Gc.allocated_bytes () in
+  let t0 = Unix.gettimeofday () in
+  let world, _ = Wcp_lowerbound.Adversary.make ~n:job.n ~m:job.m in
+  let answer, trace = Wcp_lowerbound.Detector.run world in
+  let wall_ns = ns_since t0 in
+  let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
+  let deletions = trace.Wcp_lowerbound.Detector.deletions in
+  row job
+    (match answer with
+    | Wcp_lowerbound.Detector.No_antichain -> "none"
+    | _ -> "detected")
+    ~wall_ns ~alloc_bytes
+    Json.
+      [
+        ("work", Int deletions);
+        ("max_work", Int deletions);
+        ("events", Int trace.Wcp_lowerbound.Detector.rounds);
+      ]
+
+let run_detection job =
   (* E20 telemetry arm (param=1): the timed run carries the always-on
      streaming plane, so wall_ns prices it against the bare param=0
      reference row. *)
@@ -982,229 +561,152 @@ let run_job job =
   Gc.minor ();
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
-  let result =
+  let comp, r =
     if telemetry_on then begin
       let cr, stream = run_attached job in
       timed_stream := stream;
-      `Sim cr
+      cr
     end
-    else if job.algo = "adversary" then begin
-      (* E6: the §5 lower-bound game is deterministic and has no
-         simulation behind it; map its two counters into the shared
-         record shape. *)
-      let world, _ = Wcp_lowerbound.Adversary.make ~n:job.n ~m:job.m in
-      let answer, trace = Wcp_lowerbound.Detector.run world in
-      let outcome =
-        match answer with
-        | Wcp_lowerbound.Detector.No_antichain -> "none"
-        | _ -> "detected"
-      in
-      `Adversary
-        ( outcome,
-          trace.Wcp_lowerbound.Detector.deletions,
-          trace.Wcp_lowerbound.Detector.rounds )
-    end
-    else `Sim (run_sim job)
+    else run_sim job
   in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  let wall_ns = ns_since t0 in
   let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
-  match result with
-  | `Adversary (outcome, deletions, rounds) ->
-      {
-        job;
-        outcome;
-        states = 0;
-        hops = 0;
-        polls = 0;
-        snapshots = 0;
-        merges = 0;
-        work = deletions;
-        max_work = deletions;
-        messages = 0;
-        bits = 0;
-        events = rounds;
-        sim_time = 0.0;
-        retransmits = 0;
-        dups_suppressed = 0;
-        net_dropped = 0;
-        net_duplicated = 0;
-        replayed = 0;
-        recovery_latency = 0.0;
-        trace_events = 0;
-        eliminations = 0;
-        hop_p50 = 0.0;
-        hop_p95 = 0.0;
-        hop_max = 0.0;
-        elims_per_hop_p50 = 0.0;
-        elims_per_hop_p95 = 0.0;
-        elims_per_hop_max = 0.0;
-        slice_states = 0;
-        par_rounds = 0;
-        par_frontier = 0;
-        par_items = 0;
-        span_token_p50 = 0.0;
-        span_token_p95 = 0.0;
-        span_round_p50 = 0.0;
-        span_round_p95 = 0.0;
-        span_recovery_p50 = 0.0;
-        span_recovery_p95 = 0.0;
-        span_retx_p50 = 0.0;
-        span_retx_p95 = 0.0;
-        telemetry_lines = 0;
-        trace_bytes = 0;
-        decode_ns = 0;
-        peak_words = 0;
-        slice_ns = 0;
-        events_per_sec = 0.0;
-        lat_p50_ns = 0;
-        lat_p95_ns = 0;
-        wall_ns;
-        alloc_bytes;
-      }
-  | `Sim (comp, r) ->
-      (* Second, traced run outside the timed window: same seed, same
-         schedule (recording is invisible to the engine), feeding the
-         histogram summaries. *)
-      let recorder = Wcp_obs.Recorder.create () in
-      let _ = run_sim ~recorder job in
-      let events = Wcp_obs.Recorder.events recorder in
-      let _, s = Wcp_obs.Metrics.of_events events in
-      let q h p = Wcp_obs.Metrics.quantile h p in
-      (* Span-tree and telemetry summaries (schema v8), also from the
-         traced run; the telemetry replay strips allocation sampling so
-         the line count is a pure function of the events. *)
-      let spans = Wcp_obs.Span.of_events events in
-      let spq kind p =
-        Wcp_obs.Span.percentile (Wcp_obs.Span.durations kind spans) p
+  (* Second, traced run outside the timed window: same seed, same
+     schedule (recording is invisible to the engine), feeding the
+     histogram summaries. *)
+  let recorder = Wcp_obs.Recorder.create () in
+  let _ = run_sim ~recorder job in
+  let events = Wcp_obs.Recorder.events recorder in
+  let _, s = Wcp_obs.Metrics.of_events events in
+  let hist name h =
+    Json.
+      [
+        (name ^ "_p50", Float (Wcp_obs.Metrics.quantile h 0.5));
+        (name ^ "_p95", Float (Wcp_obs.Metrics.quantile h 0.95));
+        (name ^ "_max", Float (Wcp_obs.Metrics.hist_max h));
+      ]
+  in
+  (* Span-tree and telemetry summaries (schema v8), also from the
+     traced run; the telemetry replay strips allocation sampling so
+     the line count is a pure function of the events. *)
+  let spans = Wcp_obs.Span.of_events events in
+  let span_cols (name, kind) =
+    let d = Wcp_obs.Span.durations kind spans in
+    Json.
+      [
+        ("span_" ^ name ^ "_p50", Float (Wcp_obs.Span.percentile d 0.5));
+        ("span_" ^ name ^ "_p95", Float (Wcp_obs.Span.percentile d 0.95));
+      ]
+  in
+  let telemetry_lines =
+    let tel =
+      Wcp_obs.Telemetry.create
+        ~alloc:(fun () -> 0.)
+        ~sink:(fun (_ : string) -> ())
+        ()
+    in
+    Array.iter (fun e -> Wcp_obs.Telemetry.feed tel e) events;
+    Wcp_obs.Telemetry.close tel;
+    Wcp_obs.Telemetry.lines tel
+  in
+  (* E20 determinism contract: a second attached run reproduces the
+     timed run's stream (alloc samples aside). A mismatch poisons
+     [outcome] so the baseline comparison fails loudly. *)
+  let telemetry_ok =
+    (not telemetry_on)
+    ||
+    let _, stream2 = run_attached job in
+    stream_deterministic !timed_stream stream2
+  in
+  (* E17 sliced arm: rebuild the slice outside the timed window to
+     report its shape and isolated construction cost (the timed run
+     above already paid construction inside [detect], so wall_ns
+     compares end-to-end dense vs sliced). *)
+  let slice_states, slice_ns =
+    if job.experiment = "E17" && job.param <> 0 then begin
+      let spec = spec_for job comp in
+      let t0 = Unix.gettimeofday () in
+      let sl =
+        Wcp_slice.Slice.for_spec ~keep_rest:(detector job.algo).keep_rest comp
+          ~procs:(Spec.procs spec)
       in
-      let telemetry_lines =
-        let tel =
-          Wcp_obs.Telemetry.create
-            ~alloc:(fun () -> 0.)
-            ~sink:(fun (_ : string) -> ())
-            ()
-        in
-        Array.iter (fun e -> Wcp_obs.Telemetry.feed tel e) events;
-        Wcp_obs.Telemetry.close tel;
-        Wcp_obs.Telemetry.lines tel
-      in
-      (* E20 determinism contract: a second attached run reproduces the
-         timed run's stream (alloc samples aside). A mismatch poisons
-         [outcome] so the baseline comparison fails loudly. *)
-      let telemetry_ok =
-        (not telemetry_on)
-        ||
-        let _, stream2 = run_attached job in
-        stream_deterministic !timed_stream stream2
-      in
-      (* E17 sliced arm: rebuild the slice outside the timed window to
-         report its shape and isolated construction cost (the timed run
-         above already paid construction inside [detect], so wall_ns
-         compares end-to-end dense vs sliced). *)
-      let slice_states, slice_ns =
-        if job.experiment = "E17" && job.param <> 0 then begin
-          let spec = spec_for job comp in
-          let keep_rest =
-            job.algo = "token-dd" || job.algo = "token-dd-par"
-          in
-          let t0 = Unix.gettimeofday () in
-          let sl =
-            Wcp_slice.Slice.for_spec ~keep_rest comp
-              ~procs:(Spec.procs spec)
-          in
-          let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-          (Computation.total_states (Wcp_slice.Slice.computation sl), ns)
-        end
-        else (0, 0)
-      in
-      (* E19 restart arm: recovery latency is the simulation time from
-         the restarted monitor's state restore (the Restored trace
-         event) to the end of the run — how long the healed protocol
-         needed to reach its verdict after the crash. *)
-      let recovery_latency =
-        let restore_t =
-          Array.fold_left
-            (fun acc (e : Wcp_obs.Event.t) ->
-              match e.body with
-              | Wcp_obs.Event.Restored _ -> Float.max acc e.time
-              | _ -> acc)
-            Float.neg_infinity
-            (Wcp_obs.Recorder.events recorder)
-        in
-        if restore_t = Float.neg_infinity then 0.0
-        else r.sim_time -. restore_t
-      in
-      {
-        job;
-        outcome =
-          (if not telemetry_ok then "telemetry-mismatch"
-           else
-             match r.Detection.outcome with
-             | Detection.Detected cut ->
-                 (* E17, E18, E19 and E20 spell the cut out (in dense
-                    coordinates): E17 pins the sliced arm to the dense
-                    arm's exact cut, E18 pins every domain count to the
-                    centralized checker's cut, E19 pins the
-                    crash-recovery arm to the fault-free reference's
-                    cut, and E20 pins the telemetry-attached arm to the
-                    bare reference's cut — not just to "detected". *)
-                 if
-                   job.experiment = "E17" || job.experiment = "E18"
-                   || job.experiment = "E19" || job.experiment = "E20"
-                 then Format.asprintf "detected %a" Cut.pp cut
-                 else "detected"
-             | Detection.No_detection -> "none"
-             | Detection.Undetectable_crashed _ -> "undetectable");
-        states = Computation.total_states comp;
-        hops = r.extras.Detection.token_hops;
-        polls = r.extras.Detection.polls;
-        snapshots = r.extras.Detection.snapshots;
-        merges = r.extras.Detection.merges;
-        work = Wcp_sim.Stats.total_work r.stats;
-        max_work = Wcp_sim.Stats.max_work r.stats;
-        messages = Wcp_sim.Stats.total_sent r.stats;
-        bits = Wcp_sim.Stats.total_bits r.stats;
-        events = r.events;
-        sim_time = r.sim_time;
-        retransmits = Wcp_sim.Stats.total_retransmits r.stats;
-        dups_suppressed = Wcp_sim.Stats.total_dups_suppressed r.stats;
-        net_dropped = Wcp_sim.Stats.net_dropped r.stats;
-        net_duplicated = Wcp_sim.Stats.net_duplicated r.stats;
-        replayed = Wcp_sim.Stats.replayed r.stats;
-        recovery_latency;
-        trace_events = Wcp_obs.Recorder.emitted recorder;
-        eliminations = Wcp_obs.Metrics.count s.Wcp_obs.Metrics.eliminations;
-        hop_p50 = q s.Wcp_obs.Metrics.hop_latency 0.5;
-        hop_p95 = q s.Wcp_obs.Metrics.hop_latency 0.95;
-        hop_max = Wcp_obs.Metrics.hist_max s.Wcp_obs.Metrics.hop_latency;
-        elims_per_hop_p50 = q s.Wcp_obs.Metrics.elims_per_hop 0.5;
-        elims_per_hop_p95 = q s.Wcp_obs.Metrics.elims_per_hop 0.95;
-        elims_per_hop_max =
-          Wcp_obs.Metrics.hist_max s.Wcp_obs.Metrics.elims_per_hop;
-        slice_states;
-        par_rounds = Wcp_sim.Stats.par_rounds r.stats;
-        par_frontier = Wcp_sim.Stats.par_max_frontier r.stats;
-        par_items = Wcp_sim.Stats.par_items r.stats;
-        span_token_p50 = spq Wcp_obs.Span.Token 0.5;
-        span_token_p95 = spq Wcp_obs.Span.Token 0.95;
-        span_round_p50 = spq Wcp_obs.Span.Round 0.5;
-        span_round_p95 = spq Wcp_obs.Span.Round 0.95;
-        span_recovery_p50 = spq Wcp_obs.Span.Recovery 0.5;
-        span_recovery_p95 = spq Wcp_obs.Span.Recovery 0.95;
-        span_retx_p50 = spq Wcp_obs.Span.Retx_burst 0.5;
-        span_retx_p95 = spq Wcp_obs.Span.Retx_burst 0.95;
-        telemetry_lines;
-        trace_bytes = 0;
-        decode_ns = 0;
-        peak_words = 0;
-        slice_ns;
-        events_per_sec = 0.0;
-        lat_p50_ns = 0;
-        lat_p95_ns = 0;
-        wall_ns;
-        alloc_bytes;
-      }
-  end
+      let ns = ns_since t0 in
+      (Computation.total_states (Wcp_slice.Slice.computation sl), ns)
+    end
+    else (0, 0)
+  in
+  (* E19 restart arm: recovery latency is the simulation time from
+     the restarted monitor's state restore (the Restored trace
+     event) to the end of the run — how long the healed protocol
+     needed to reach its verdict after the crash. *)
+  let recovery_latency =
+    let restore_t =
+      Array.fold_left
+        (fun acc (e : Wcp_obs.Event.t) ->
+          match e.body with
+          | Wcp_obs.Event.Restored _ -> Float.max acc e.time
+          | _ -> acc)
+        Float.neg_infinity events
+    in
+    if restore_t = Float.neg_infinity then 0.0 else r.sim_time -. restore_t
+  in
+  let outcome =
+    if not telemetry_ok then "telemetry-mismatch"
+    else
+      match r.Detection.outcome with
+      | Detection.Detected cut ->
+          (* E17, E18, E19 and E20 spell the cut out (in dense
+             coordinates): E17 pins the sliced arm to the dense arm's
+             exact cut, E18 pins every domain count to the centralized
+             checker's cut, E19 pins the crash-recovery arm to the
+             fault-free reference's cut, and E20 pins the
+             telemetry-attached arm to the bare reference's cut — not
+             just to "detected". *)
+          if List.mem job.experiment [ "E17"; "E18"; "E19"; "E20" ] then
+            Format.asprintf "detected %a" Cut.pp cut
+          else "detected"
+      | Detection.No_detection -> "none"
+      | Detection.Undetectable_crashed _ -> "undetectable"
+  in
+  let st = r.Detection.stats in
+  row job outcome ~wall_ns ~alloc_bytes
+    ((("states", Json.Int (Computation.total_states comp)) :: result_cols r)
+    @ Json.
+        [
+          ("retransmits", Int (Wcp_sim.Stats.total_retransmits st));
+          ("dups_suppressed", Int (Wcp_sim.Stats.total_dups_suppressed st));
+          ("net_dropped", Int (Wcp_sim.Stats.net_dropped st));
+          ("net_duplicated", Int (Wcp_sim.Stats.net_duplicated st));
+          ("replayed", Int (Wcp_sim.Stats.replayed st));
+          ("recovery_latency", Float recovery_latency);
+          ("trace_events", Int (Wcp_obs.Recorder.emitted recorder));
+          ( "eliminations",
+            Int (Wcp_obs.Metrics.count s.Wcp_obs.Metrics.eliminations) );
+          ("slice_states", Int slice_states);
+          ("par_rounds", Int (Wcp_sim.Stats.par_rounds st));
+          ("par_frontier", Int (Wcp_sim.Stats.par_max_frontier st));
+          ("par_items", Int (Wcp_sim.Stats.par_items st));
+          ("telemetry_lines", Int telemetry_lines);
+          ("slice_ns", Int slice_ns);
+        ]
+    @ hist "hop" s.Wcp_obs.Metrics.hop_latency
+    @ hist "elims_per_hop" s.Wcp_obs.Metrics.elims_per_hop
+    @ List.concat_map span_cols
+        Wcp_obs.Span.
+          [
+            ("token", Token);
+            ("round", Round);
+            ("recovery", Recovery);
+            ("retx", Retx_burst);
+          ])
+
+let run_job job =
+  match job.experiment with
+  | "E15" -> run_e15 job
+  | "E21" -> run_e21 job
+  | "E22" -> run_e22 job
+  | _ when job.algo = "adversary" -> run_adversary job
+  | _ -> run_detection job
 
 (* ------------------------------------------------------------------ *)
 (* Sweep profiles                                                      *)
@@ -1213,11 +715,6 @@ let run_job job =
 type profile = Full | Smoke
 
 let profile_name = function Full -> "full" | Smoke -> "smoke"
-
-let profile_of_name = function
-  | "full" -> Full
-  | "smoke" -> Smoke
-  | s -> invalid_arg ("Bench_json.profile_of_name: " ^ s)
 
 let job ?(p_pred = 0.3) ?(param = 0) experiment algo ~n ~m ~seed () =
   { experiment; algo; n; m; p_pred; seed; param }
@@ -1233,7 +730,7 @@ let jobs = function
         job "E1" "token-vc" ~n:8 ~m:20 ~seed:1 ();
         job "E1" "token-vc" ~n:8 ~m:20 ~seed:2 ();
         job "E2" "checker" ~n:8 ~m:16 ~seed:1 ();
-        job "E3" "token-multi" ~n:24 ~m:16 ~p_pred:0.25 ~param:2 ~seed:1 ();
+        job "E3" "multi-token" ~n:24 ~m:16 ~p_pred:0.25 ~param:2 ~seed:1 ();
         job "E4" "token-dd" ~n:8 ~m:12 ~p_pred:0.05 ~seed:1 ();
         job "E8" "token-dd-par" ~n:8 ~m:10 ~p_pred:0.05 ~seed:1 ();
         job "E9" "token-vc" ~n:8 ~m:10 ~param:20 ~seed:1 ();
@@ -1245,8 +742,8 @@ let jobs = function
         job "E17" "token-vc" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
         job "E17" "token-dd" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
         job "E17" "token-dd" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
-        job "E17" "token-multi" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
-        job "E17" "token-multi" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
+        job "E17" "multi-token" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
+        job "E17" "multi-token" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
         job "E17" "checker" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
         job "E17" "checker" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
         job "E18" "checker" ~n:8 ~m:20 ~seed:1 ();
@@ -1256,8 +753,8 @@ let jobs = function
         job "E19" "token-vc" ~n:8 ~m:20 ~param:1 ~seed:1 ();
         job "E19" "token-dd" ~n:8 ~m:20 ~param:0 ~seed:1 ();
         job "E19" "token-dd" ~n:8 ~m:20 ~param:1 ~seed:1 ();
-        job "E19" "token-multi" ~n:8 ~m:20 ~param:0 ~seed:1 ();
-        job "E19" "token-multi" ~n:8 ~m:20 ~param:1 ~seed:1 ();
+        job "E19" "multi-token" ~n:8 ~m:20 ~param:0 ~seed:1 ();
+        job "E19" "multi-token" ~n:8 ~m:20 ~param:1 ~seed:1 ();
         job "E20" "token-vc" ~n:8 ~m:20 ~param:0 ~seed:1 ();
         job "E20" "token-vc" ~n:8 ~m:20 ~param:1 ~seed:1 ();
         job "E21" "token-vc" ~n:8 ~m:20 ~p_pred:0.3 ~param:0 ~seed:1 ();
@@ -1283,7 +780,7 @@ let jobs = function
       @ sweep
           (fun groups ->
             per_seed (fun seed ->
-                job "E3" "token-multi" ~n:24 ~m:16 ~p_pred:0.25 ~param:groups
+                job "E3" "multi-token" ~n:24 ~m:16 ~p_pred:0.25 ~param:groups
                   ~seed ()))
           [ 1; 2; 4; 8 ]
       @ sweep
@@ -1345,7 +842,7 @@ let jobs = function
                     per_seed (fun seed ->
                         job "E16" algo ~n ~m:20 ~param:delta ~seed ()))
                   [ 0; 1 ])
-              [ "token-vc"; "token-multi"; "checker" ])
+              [ "token-vc"; "multi-token"; "checker" ])
           [ 8; 16; 32 ]
       (* E17: computation slicing on a sparse-truth workload (p_pred =
          0.02 — most states are predicate-false, the regime slicing is
@@ -1364,7 +861,7 @@ let jobs = function
                         job "E17" algo ~n ~m:20 ~p_pred:0.02 ~param:slice
                           ~seed ()))
                   [ 0; 1 ])
-              [ "token-vc"; "token-dd"; "token-dd-par"; "token-multi";
+              [ "token-vc"; "token-dd"; "token-dd-par"; "multi-token";
                 "checker" ])
           [ 8; 16; 32 ]
       (* E17 dense-truth control: at p_pred = 0.3 every run DETECTS, so
@@ -1380,7 +877,7 @@ let jobs = function
                     job "E17" algo ~n:8 ~m:20 ~p_pred:0.3 ~param:slice ~seed
                       ()))
               [ 0; 1 ])
-          [ "token-vc"; "token-dd"; "token-dd-par"; "token-multi"; "checker" ]
+          [ "token-vc"; "token-dd"; "token-dd-par"; "multi-token"; "checker" ]
       (* E18: parallel-checker crossover. Per n, one centralized
          checker reference row (param 0) plus the parallel checker at
          domain counts 1/2/4/8 (param = its own fan-out). Every row of
@@ -1412,7 +909,7 @@ let jobs = function
                   (fun restart ->
                     job "E19" algo ~n ~m:20 ~param:restart ~seed:1 ())
                   [ 0; 1 ])
-              [ "token-vc"; "token-dd"; "token-multi" ])
+              [ "token-vc"; "token-dd"; "multi-token" ])
           [ 8; 16; 32 ]
       (* E20: always-on telemetry. Per n, a bare reference row (param
          0, the E1 workload) and a telemetry-attached row (param 1)
@@ -1474,6 +971,7 @@ let run ?domains profile =
   let js = Array.of_list (jobs profile) in
   Wcp_util.Parallel.map ?domains run_job js
 
+
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1501,157 +999,79 @@ let run ?domains profile =
    v10: E22 (streaming detection service: sessions over a loopback
    socket vs the offline streamed reference) and the
    events_per_sec/lat_p50_ns/lat_p95_ns fields added; no existing
-   field moved. *)
-let schema = "wcp-bench/10"
+   field moved.
+   v11: sparse rows — job, outcome, wall_ns, alloc_bytes and the
+   nonzero columns the row's runner computed, in name order; a missing
+   column reads as zero. The multi-token rows are labelled
+   "multi-token", the name the detector table and the CLI use. No
+   value moved. *)
+let schema = "wcp-bench/11"
 
-let metrics_to_json r =
+let row_to_json r =
+  let j = r.job in
   Json.Obj
-    [
-      ("experiment", Json.Str r.job.experiment);
-      ("algo", Json.Str r.job.algo);
-      ("n", Json.Int r.job.n);
-      ("m", Json.Int r.job.m);
-      ("p_pred", Json.Float r.job.p_pred);
-      ("seed", Json.Int r.job.seed);
-      ("param", Json.Int r.job.param);
-      ("outcome", Json.Str r.outcome);
-      ("states", Json.Int r.states);
-      ("hops", Json.Int r.hops);
-      ("polls", Json.Int r.polls);
-      ("snapshots", Json.Int r.snapshots);
-      ("merges", Json.Int r.merges);
-      ("work", Json.Int r.work);
-      ("max_work", Json.Int r.max_work);
-      ("messages", Json.Int r.messages);
-      ("bits", Json.Int r.bits);
-      ("events", Json.Int r.events);
-      ("sim_time", Json.Float r.sim_time);
-      ("retransmits", Json.Int r.retransmits);
-      ("dups_suppressed", Json.Int r.dups_suppressed);
-      ("net_dropped", Json.Int r.net_dropped);
-      ("net_duplicated", Json.Int r.net_duplicated);
-      ("replayed", Json.Int r.replayed);
-      ("recovery_latency", Json.Float r.recovery_latency);
-      ("trace_events", Json.Int r.trace_events);
-      ("eliminations", Json.Int r.eliminations);
-      ("hop_p50", Json.Float r.hop_p50);
-      ("hop_p95", Json.Float r.hop_p95);
-      ("hop_max", Json.Float r.hop_max);
-      ("elims_per_hop_p50", Json.Float r.elims_per_hop_p50);
-      ("elims_per_hop_p95", Json.Float r.elims_per_hop_p95);
-      ("elims_per_hop_max", Json.Float r.elims_per_hop_max);
-      ("slice_states", Json.Int r.slice_states);
-      ("par_rounds", Json.Int r.par_rounds);
-      ("par_frontier", Json.Int r.par_frontier);
-      ("par_items", Json.Int r.par_items);
-      ("span_token_p50", Json.Float r.span_token_p50);
-      ("span_token_p95", Json.Float r.span_token_p95);
-      ("span_round_p50", Json.Float r.span_round_p50);
-      ("span_round_p95", Json.Float r.span_round_p95);
-      ("span_recovery_p50", Json.Float r.span_recovery_p50);
-      ("span_recovery_p95", Json.Float r.span_recovery_p95);
-      ("span_retx_p50", Json.Float r.span_retx_p50);
-      ("span_retx_p95", Json.Float r.span_retx_p95);
-      ("telemetry_lines", Json.Int r.telemetry_lines);
-      ("trace_bytes", Json.Int r.trace_bytes);
-      ("decode_ns", Json.Int r.decode_ns);
-      ("peak_words", Json.Int r.peak_words);
-      ("slice_ns", Json.Int r.slice_ns);
-      ("events_per_sec", Json.Float r.events_per_sec);
-      ("lat_p50_ns", Json.Int r.lat_p50_ns);
-      ("lat_p95_ns", Json.Int r.lat_p95_ns);
-      ("wall_ns", Json.Int r.wall_ns);
-      ("alloc_bytes", Json.Int r.alloc_bytes);
-    ]
+    (Json.
+       [
+         ("experiment", Str j.experiment);
+         ("algo", Str j.algo);
+         ("n", Int j.n);
+         ("m", Int j.m);
+         ("p_pred", Float j.p_pred);
+         ("seed", Int j.seed);
+         ("param", Int j.param);
+         ("outcome", Str r.outcome);
+       ]
+    @ r.cols
+    @ Json.[ ("wall_ns", Int r.wall_ns); ("alloc_bytes", Int r.alloc_bytes) ])
 
-let metrics_of_json j =
+let core_keys =
+  [
+    "experiment"; "algo"; "n"; "m"; "p_pred"; "seed"; "param"; "outcome";
+    "wall_ns"; "alloc_bytes";
+  ]
+
+let row_of_json j =
   let open Json in
-  {
-    job =
-      {
-        experiment = to_str (member "experiment" j);
-        algo = to_str (member "algo" j);
-        n = to_int (member "n" j);
-        m = to_int (member "m" j);
-        p_pred = to_float (member "p_pred" j);
-        seed = to_int (member "seed" j);
-        param = to_int (member "param" j);
-      };
-    outcome = to_str (member "outcome" j);
-    states = to_int (member "states" j);
-    hops = to_int (member "hops" j);
-    polls = to_int (member "polls" j);
-    snapshots = to_int (member "snapshots" j);
-    merges = to_int (member "merges" j);
-    work = to_int (member "work" j);
-    max_work = to_int (member "max_work" j);
-    messages = to_int (member "messages" j);
-    bits = to_int (member "bits" j);
-    events = to_int (member "events" j);
-    sim_time = to_float (member "sim_time" j);
-    retransmits = to_int (member "retransmits" j);
-    dups_suppressed = to_int (member "dups_suppressed" j);
-    net_dropped = to_int (member "net_dropped" j);
-    net_duplicated = to_int (member "net_duplicated" j);
-    replayed = to_int (member "replayed" j);
-    recovery_latency = to_float (member "recovery_latency" j);
-    trace_events = to_int (member "trace_events" j);
-    eliminations = to_int (member "eliminations" j);
-    hop_p50 = to_float (member "hop_p50" j);
-    hop_p95 = to_float (member "hop_p95" j);
-    hop_max = to_float (member "hop_max" j);
-    elims_per_hop_p50 = to_float (member "elims_per_hop_p50" j);
-    elims_per_hop_p95 = to_float (member "elims_per_hop_p95" j);
-    elims_per_hop_max = to_float (member "elims_per_hop_max" j);
-    slice_states = to_int (member "slice_states" j);
-    par_rounds = to_int (member "par_rounds" j);
-    par_frontier = to_int (member "par_frontier" j);
-    par_items = to_int (member "par_items" j);
-    span_token_p50 = to_float (member "span_token_p50" j);
-    span_token_p95 = to_float (member "span_token_p95" j);
-    span_round_p50 = to_float (member "span_round_p50" j);
-    span_round_p95 = to_float (member "span_round_p95" j);
-    span_recovery_p50 = to_float (member "span_recovery_p50" j);
-    span_recovery_p95 = to_float (member "span_recovery_p95" j);
-    span_retx_p50 = to_float (member "span_retx_p50" j);
-    span_retx_p95 = to_float (member "span_retx_p95" j);
-    telemetry_lines = to_int (member "telemetry_lines" j);
-    trace_bytes = to_int (member "trace_bytes" j);
-    decode_ns = to_int (member "decode_ns" j);
-    peak_words = to_int (member "peak_words" j);
-    slice_ns = to_int (member "slice_ns" j);
-    events_per_sec = to_float (member "events_per_sec" j);
-    lat_p50_ns = to_int (member "lat_p50_ns" j);
-    lat_p95_ns = to_int (member "lat_p95_ns" j);
-    wall_ns = to_int (member "wall_ns" j);
-    alloc_bytes = to_int (member "alloc_bytes" j);
-  }
+  let i k = to_int (member k j) in
+  let job =
+    {
+      experiment = to_str (member "experiment" j);
+      algo = to_str (member "algo" j);
+      n = i "n";
+      m = i "m";
+      p_pred = to_float (member "p_pred" j);
+      seed = i "seed";
+      param = i "param";
+    }
+  in
+  let cols =
+    match j with
+    | Obj kvs ->
+        List.filter
+          (fun (k, v) ->
+            match v with
+            | _ when List.mem k core_keys -> false
+            | Int _ | Float _ -> true
+            | _ -> error "column %S is not a number" k)
+          kvs
+    | _ -> []
+  in
+  row job
+    (to_str (member "outcome" j))
+    ~wall_ns:(i "wall_ns") ~alloc_bytes:(i "alloc_bytes") cols
 
 let emit ~profile results =
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str schema);
-        ("profile", Json.Str (profile_name profile));
-        ("jobs", Json.Int (Array.length results));
-        ( "results",
-          Json.List (Array.to_list (Array.map metrics_to_json results)) );
-      ]
-  in
   (* One record per line keeps committed baselines diffable. *)
   let b = Buffer.create 16384 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": %s,\n"
-                         (Json.to_string (Json.member "schema" doc)));
-  Buffer.add_string b (Printf.sprintf "  \"profile\": %s,\n"
-                         (Json.to_string (Json.member "profile" doc)));
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n"
-                         (Array.length results));
+  Printf.bprintf b "{\n  \"schema\": %s,\n  \"profile\": %s,\n  \"jobs\": %d,\n"
+    (Json.to_string (Json.Str schema))
+    (Json.to_string (Json.Str (profile_name profile)))
+    (Array.length results);
   Buffer.add_string b "  \"results\": [\n";
   Array.iteri
     (fun i r ->
       Buffer.add_string b "    ";
-      Buffer.add_string b (Json.to_string (metrics_to_json r));
+      Json.emit b (row_to_json r);
       if i < Array.length results - 1 then Buffer.add_char b ',';
       Buffer.add_char b '\n')
     results;
@@ -1661,11 +1081,17 @@ let emit ~profile results =
 let parse_doc s =
   let doc = Json.parse s in
   let got = Json.to_str (Json.member "schema" doc) in
-  if got <> schema then
-    raise (Json.Parse_error (Printf.sprintf "schema %S, expected %S" got schema));
-  let profile = profile_of_name (Json.to_str (Json.member "profile" doc)) in
+  if got <> schema then Json.error "schema %S, expected %S" got schema;
+  let profile =
+    match Json.to_str (Json.member "profile" doc) with
+    | "full" -> Full
+    | "smoke" -> Smoke
+    | p -> Json.error "unknown profile %S" p
+  in
   let results =
-    Array.of_list (List.map metrics_of_json (Json.to_list (Json.member "results" doc)))
+    match Json.member "results" doc with
+    | Json.Arr rs -> Array.of_list (List.map row_of_json rs)
+    | _ -> Json.error "results is not an array"
   in
   (profile, results)
 
@@ -1677,23 +1103,21 @@ let job_key j =
   Printf.sprintf "%s/%s n=%d m=%d p=%g seed=%d param=%d" j.experiment j.algo
     j.n j.m j.p_pred j.seed j.param
 
-let strip_timing r =
-  {
-    r with
-    wall_ns = 0;
-    alloc_bytes = 0;
-    slice_ns = 0;
-    decode_ns = 0;
-    peak_words = 0;
-    events_per_sec = 0.0;
-    lat_p50_ns = 0;
-    lat_p95_ns = 0;
-  }
+let drift ?(except = []) a b =
+  let names =
+    List.sort_uniq String.compare (List.map fst a.cols @ List.map fst b.cols)
+  in
+  (if a.outcome <> b.outcome then [ "outcome" ] else [])
+  @ List.filter
+      (fun k ->
+        (not (List.mem k machine_columns || List.mem k except))
+        && List.assoc_opt k a.cols <> List.assoc_opt k b.cols)
+      names
 
-let deterministic_equal a b = strip_timing a = strip_timing b
+let deterministic_equal a b = a.job = b.job && drift a b = []
 
 (* Compare a fresh run against a committed baseline: every deterministic
-   field must match exactly; wall time may regress at most [tolerance]
+   column must match exactly; wall time may regress at most [tolerance]
    (default 0.20) on each experiment's total, with a 10 ms absolute
    floor so scheduler noise on sub-millisecond experiments cannot trip
    the gate. Returns human-readable failure lines, empty on success.
@@ -1710,9 +1134,22 @@ let compare_runs ?(tolerance = 0.20) ?(subset = false) ~baseline ~current () =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   let drift b c =
-    if not (deterministic_equal b c) then
-      err "metrics drifted for %s (e.g. hops %d->%d, work %d->%d, messages %d->%d)"
-        (job_key b.job) b.hops c.hops b.work c.work b.messages c.messages
+    let value r k =
+      if k = "outcome" then Printf.sprintf "%S" r.outcome
+      else
+        match List.assoc_opt k r.cols with
+        | Some v -> Json.to_string v
+        | None -> "0"
+    in
+    match drift b c with
+    | [] -> ()
+    | ks ->
+        err "metrics drifted for %s: %s" (job_key b.job)
+          (String.concat ", "
+             (List.map
+                (fun k ->
+                  Printf.sprintf "%s %s -> %s" k (value b k) (value c k))
+                ks))
   in
   let cur_tbl = Hashtbl.create 64 in
   Array.iter (fun r -> Hashtbl.replace cur_tbl (job_key r.job) r) current;

@@ -31,6 +31,10 @@ let mean_i xs = List.fold_left ( + ) 0 xs / List.length xs
 
 let mean_f xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
+(* Mean of a bench row column over one side ([fst]/[snd]) of row pairs. *)
+let mean_col rows side col =
+  mean_i (List.map (fun r -> Wcp_bench.Bench_json.int_col (side r) col) rows)
+
 let random_comp ~n ~m ~p_pred ~seed =
   Generator.random
     ~params:{ Generator.n; sends_per_process = m; p_pred; p_recv = 0.5 }
@@ -512,12 +516,8 @@ let e15 () =
   let open Wcp_bench.Bench_json in
   Printf.printf "%8s %10s %12s %9s %10s\n" "domains" "sessions" "wall-ms"
     "sess/s" "identical";
-  (* Rows must agree on every deterministic field whatever the domain
-     count; normalize away the param (the domain count itself). *)
-  let norm r =
-    let r = strip_timing r in
-    { r with job = { r.job with param = 0 } }
-  in
+  (* Rows must agree on every deterministic column whatever the domain
+     count (the param, the domain count itself, differs). *)
   let base = ref None in
   List.iter
     (fun d ->
@@ -533,8 +533,9 @@ let e15 () =
             param = d;
           }
       in
-      if !base = None then base := Some (norm r);
-      let identical = r.outcome = "ok" && !base = Some (norm r) in
+      let b = Option.value !base ~default:r in
+      base := Some b;
+      let identical = r.outcome = "ok" && drift b r = [] in
       let wall_s = float_of_int r.wall_ns /. 1e9 in
       Printf.printf "%8d %10d %12.1f %9.0f %10s\n" d e15_sessions
         (wall_s *. 1e3)
@@ -561,23 +562,19 @@ let e16 () =
               { experiment = "E16"; algo; n; m = 20; p_pred = 0.3; seed; param }
           in
           let rows = List.map (fun s -> (run 0 s, run 1 s)) [ 1; 2; 3 ] in
-          let dense = mean_i (List.map (fun (d, _) -> d.bits) rows) in
-          let delta = mean_i (List.map (fun (_, d) -> d.bits) rows) in
-          (* Same detected cut: every deterministic field except bits
-             (and the delta-flag param) must agree between the arms. *)
-          let norm r =
-            { r with bits = 0; job = { r.job with param = 0 } }
-          in
+          let dense = mean_col rows fst "bits" in
+          let delta = mean_col rows snd "bits" in
+          (* Same detected cut: every deterministic column except bits
+             must agree between the arms. *)
           let same =
-            List.for_all
-              (fun (d0, d1) -> deterministic_equal (norm d0) (norm d1))
+            List.for_all (fun (d0, d1) -> drift ~except:[ "bits" ] d0 d1 = [])
               rows
           in
           Printf.printf "%-12s %4d %12d %12d %7.2f %9s\n" algo n dense delta
             (float_of_int dense /. float_of_int (max 1 delta))
             (if same then "yes" else "NO"))
         [ 8; 16; 32 ])
-    [ "token-vc"; "token-multi"; "checker" ]
+    [ "token-vc"; "multi-token"; "checker" ]
 
 (* ------------------------------------------------------------------ *)
 (* E17: computation slicing, sparse-truth sweep                        *)
@@ -607,45 +604,25 @@ let e17 () =
               }
           in
           let rows = List.map (fun s -> (run 0 s, run 1 s)) [ 1; 2; 3 ] in
-          let dense = mean_i (List.map (fun (d, _) -> d.events) rows) in
-          let sliced = mean_i (List.map (fun (_, s) -> s.events) rows) in
-          let sstates = mean_i (List.map (fun (_, s) -> s.slice_states) rows) in
+          let dense = mean_col rows fst "events" in
+          let sliced = mean_col rows snd "events" in
+          let sstates = mean_col rows snd "slice_states" in
           (* Identical verdicts: the sliced arm's remapped cut (and every
-             deterministic field that is a function of it — outcome,
-             states examined per the slice's own accounting aside) must
-             agree with the dense arm's. Everything that legitimately
-             shrinks on the slice is zeroed before the comparison. *)
-          let norm r =
-            {
-              r with
-              states = 0;
-              hops = 0;
-              polls = 0;
-              snapshots = 0;
-              merges = 0;
-              work = 0;
-              max_work = 0;
-              messages = 0;
-              bits = 0;
-              events = 0;
-              sim_time = 0.;
-              trace_events = 0;
-              eliminations = 0;
-              hop_p50 = 0.;
-              hop_p95 = 0.;
-              hop_max = 0.;
-              elims_per_hop_p50 = 0.;
-              elims_per_hop_p95 = 0.;
-              elims_per_hop_max = 0.;
-              slice_states = 0;
-              job = { r.job with param = 0 };
-            }
+             deterministic column that is a function of it) must agree
+             with the dense arm's. The columns that legitimately shrink
+             on the slice are left out of the comparison. *)
+          let shrinks =
+            [
+              "states"; "hops"; "polls"; "snapshots"; "merges"; "work";
+              "max_work"; "messages"; "bits"; "events"; "sim_time";
+              "trace_events"; "eliminations"; "hop_p50"; "hop_p95"; "hop_max";
+              "elims_per_hop_p50"; "elims_per_hop_p95"; "elims_per_hop_max";
+              "slice_states"; "span_token_p50"; "span_token_p95";
+              "telemetry_lines";
+            ]
           in
           let same =
-            List.for_all
-              (fun (d0, d1) ->
-                deterministic_equal (norm d0) (norm d1)
-                && d0.outcome = d1.outcome)
+            List.for_all (fun (d0, d1) -> drift ~except:shrinks d0 d1 = [])
               rows
           in
           Printf.printf "%-12s %4d %11d %12d %12d %7.2f %9s\n" algo n sstates
@@ -653,7 +630,7 @@ let e17 () =
             (float_of_int dense /. float_of_int (max 1 sliced))
             (if same then "yes" else "NO"))
         [ 8; 16; 32 ])
-    [ "token-vc"; "token-dd"; "token-dd-par"; "token-multi"; "checker" ]
+    [ "token-vc"; "token-dd"; "token-dd-par"; "multi-token"; "checker" ]
 
 (* ------------------------------------------------------------------ *)
 (* E18: domain-parallel checker crossover                              *)
@@ -678,10 +655,9 @@ let e18 () =
          strings are byte-identical), and the round shape — rounds,
          frontier, items, plus every other deterministic field — is
          domain-count independent. *)
-      let norm r = { (strip_timing r) with job = { r.job with param = 0 } } in
       let p1 = List.hd par in
       let same =
-        List.for_all (fun p -> p.outcome = ck.outcome && norm p = norm p1) par
+        List.for_all (fun p -> p.outcome = ck.outcome && drift p1 p = []) par
       in
       let ms r = float_of_int r.wall_ns /. 1e6 in
       let best = List.fold_left (fun acc p -> min acc (ms p)) infinity par in
@@ -691,7 +667,7 @@ let e18 () =
         (ms (List.nth par 1))
         (ms (List.nth par 2))
         (ms (List.nth par 3))
-        (ms ck /. best) p1.par_rounds
+        (ms ck /. best) (int_col p1 "par_rounds")
         (if same then "yes" else "NO"))
     [ 8; 16; 32; 64; 128 ]
 
@@ -728,11 +704,14 @@ let e19 () =
              detects — the spelled-out cuts must be byte-identical. *)
           let same = reference.outcome = recovered.outcome in
           Printf.printf "%-12s %4d %8.2f %8.2f %9.2f %9d %8d %9s\n" algo n
-            reference.sim_time recovered.sim_time recovered.recovery_latency
-            recovered.replayed recovered.retransmits
+            (float_col reference "sim_time")
+            (float_col recovered "sim_time")
+            (float_col recovered "recovery_latency")
+            (int_col recovered "replayed")
+            (int_col recovered "retransmits")
             (if same then "yes" else "NO"))
         [ 8; 16; 32 ])
-    [ "token-vc"; "token-dd"; "token-multi" ]
+    [ "token-vc"; "token-dd"; "multi-token" ]
 
 (* ------------------------------------------------------------------ *)
 (* E20: always-on telemetry overhead                                   *)
@@ -856,8 +835,12 @@ let e21 () =
           let same = dense.outcome = streamed.outcome in
           let ms ns = float_of_int ns /. 1e6 in
           Printf.printf "%-10s %4d %6d %10d %10d %8.2fms %8.2fms %10d %9s\n"
-            algo n m dense.trace_bytes streamed.trace_bytes
-            (ms dense.decode_ns) (ms streamed.decode_ns) streamed.peak_words
+            algo n m
+            (int_col dense "trace_bytes")
+            (int_col streamed "trace_bytes")
+            (ms (int_col dense "decode_ns"))
+            (ms (int_col streamed "decode_ns"))
+            (int_col streamed "peak_words")
             (if same then "yes" else "NO"))
         [ (8, 20); (8, 2000); (16, 8000) ])
     [ "token-vc"; "token-dd"; "checker" ]
@@ -893,8 +876,10 @@ let e22 () =
       in
       let ms ns = float_of_int ns /. 1e6 in
       Printf.printf "%-10s %4d %4d %6s %4d %6d %12.0f %7.1fms %7.1fms %10d %7s\n"
-        algo sessions domains mode_name n m r.events_per_sec (ms r.lat_p50_ns)
-        (ms r.lat_p95_ns) r.peak_words
+        algo sessions domains mode_name n m (float_col r "events_per_sec")
+        (ms (int_col r "lat_p50_ns"))
+        (ms (int_col r "lat_p95_ns"))
+        (int_col r "peak_words")
         (if ok then "yes" else "NO"))
     [
       ("token-vc", 8, 20, 0.3, 2010);
@@ -1037,7 +1022,7 @@ let read_file f =
 
 let parse_file f =
   match Wcp_bench.Bench_json.parse_doc (read_file f) with
-  | exception Wcp_bench.Bench_json.Json.Parse_error msg ->
+  | exception Wcp_obs.Export.Json.Error msg ->
       Printf.eprintf "perf-check: %s is not a wcp-bench document (%s)\n" f msg;
       exit 1
   | doc -> doc
@@ -1060,16 +1045,15 @@ let e22_gates current =
       let open Wcp_bench.Bench_json in
       if r.job.experiment = "E22" then begin
         let sessions = r.job.param / 1000 and mode = r.job.param mod 10 in
-        if mode <> 2 && sessions >= 8 && r.job.n >= 32
-           && r.events_per_sec < e22_min_eps
+        let eps = float_col r "events_per_sec" in
+        let peak = int_col r "peak_words" in
+        if mode <> 2 && sessions >= 8 && r.job.n >= 32 && eps < e22_min_eps
         then
-          err "E22 throughput gate: %.0f events/sec < %.0f (%s)"
-            r.events_per_sec e22_min_eps
-            (Wcp_bench.Bench_json.job_key r.job);
-        if mode = 2 && r.peak_words > e22_slow_peak_cap_words then
-          err "E22 slow-client heap gate: peak %d words > %d (%s)"
-            r.peak_words e22_slow_peak_cap_words
-            (Wcp_bench.Bench_json.job_key r.job)
+          err "E22 throughput gate: %.0f events/sec < %.0f (%s)" eps
+            e22_min_eps (job_key r.job);
+        if mode = 2 && peak > e22_slow_peak_cap_words then
+          err "E22 slow-client heap gate: peak %d words > %d (%s)" peak
+            e22_slow_peak_cap_words (job_key r.job)
       end)
     current;
   List.rev !errors

@@ -286,40 +286,36 @@ let workload_cmd =
 (* detect                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type algo =
-  | Vc
-  | Multi
-  | Dd
-  | Dd_par
-  | Checker
-  | Parallel
-  | Oracle_a
-  | Cm
-  | Strong_a
+(* "a, b or c" *)
+let or_list names =
+  match List.rev names with
+  | last :: (_ :: _ as rest) ->
+      String.concat ", " (List.rev rest) ^ " or " ^ last
+  | _ -> String.concat "" names
 
+(* The detectors come from the table; the replay-only oracles are
+   CLI-only arms. *)
 let algo_arg =
+  let names = Detectors.names @ [ "oracle"; "cooper-marzullo"; "strong" ] in
   let doc =
-    "Algorithm: token-vc, multi-token, token-dd, token-dd-par, checker, \
-     parallel (domain-parallel checker), oracle, cooper-marzullo or strong \
-     (Definitely)."
+    Printf.sprintf
+      "Algorithm: %s. parallel is the domain-parallel checker; strong \
+       detects Definitely."
+      (or_list names)
   in
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("token-vc", Vc);
-             ("multi-token", Multi);
-             ("token-dd", Dd);
-             ("token-dd-par", Dd_par);
-             ("checker", Checker);
-             ("parallel", Parallel);
-             ("oracle", Oracle_a);
-             ("cooper-marzullo", Cm);
-             ("strong", Strong_a);
-           ])
-        Vc
+    & opt (enum (List.map (fun s -> (s, s)) names)) "token-vc"
     & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+
+(* [what] needs one of the table's detectors, not a replay oracle. *)
+let detector_or_die what algo =
+  match Detectors.find algo with
+  | Ok d -> d
+  | Error _ ->
+      Printf.eprintf "wcpdetect: %s needs a detection algorithm (%s)\n" what
+        (or_list Detectors.names);
+      exit 2
 
 let groups_arg =
   Arg.(
@@ -448,71 +444,46 @@ let setup_metrics ~recorder ~metrics_out ~metrics_every =
 
 let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
     ~seed comp spec =
-  let options = Detection.options ~slice () in
-  (match (slice, algo) with
-  | true, (Oracle_a | Cm | Strong_a) ->
-      prerr_endline
-        "wcpdetect: --slice needs a detection algorithm (token-vc, \
-         multi-token, token-dd, token-dd-par, checker or parallel)";
-      exit 2
-  | _ -> ());
-  (match (fault, algo) with
-  | Some _, (Checker | Parallel | Oracle_a | Cm | Strong_a) ->
-      prerr_endline
-        "wcpdetect: fault injection is only supported for the token algorithms";
-      exit 2
-  | _ -> ());
-  (match (recorder, algo) with
-  | Some _, (Oracle_a | Cm | Strong_a) ->
-      prerr_endline
-        "wcpdetect: tracing needs a detection algorithm (token-vc, \
-         multi-token, token-dd, token-dd-par, checker or parallel)";
-      exit 2
-  | _ -> ());
-  match algo with
-  | Vc ->
-      Some
-        (Token_vc.detect ?fault ?recorder ~ckpt_every ~options ~seed comp spec)
-  | Multi ->
-      Some
-        (Token_multi.detect ?fault ?recorder ~ckpt_every ~options
-           ~groups:(min groups (Spec.width spec))
-           ~seed comp spec)
-  | Dd ->
-      Some
-        (Token_dd.detect ?fault ?recorder ~ckpt_every ~options ~seed comp spec)
-  | Dd_par ->
-      Some
-        (Token_dd.detect ?fault ?recorder ~ckpt_every ~options ~parallel:true
-           ~seed comp spec)
-  | Checker ->
-      Some (Checker_centralized.detect ?recorder ~options ~seed comp spec)
-  | Parallel -> Some (Checker_parallel.detect ?recorder ~options ~seed comp spec)
-  | Oracle_a ->
-      Format.printf "oracle: %a@." Detection.pp_outcome
-        (Oracle.first_cut comp spec);
-      None
-  | Cm ->
-      (match Cooper_marzullo.detect_wcp comp spec with
-      | Ok (outcome, expl) ->
-          Format.printf "cooper-marzullo: %a (explored %d cuts)@."
-            Detection.pp_outcome outcome expl.Cooper_marzullo.cuts_explored
-      | Error expl ->
-          Format.printf "cooper-marzullo: limit after %d cuts@."
-            expl.Cooper_marzullo.cuts_explored);
-      None
-  | Strong_a ->
-      (match Strong.definitely comp spec with
-      | Some w ->
-          Format.printf "strong: Definitely holds; witness intervals:";
-          Array.iter
-            (fun (iv : Strong.interval) ->
-              Format.printf " P%d:[%d,%d]" iv.Strong.proc iv.Strong.first
-                iv.Strong.last)
-            w;
-          Format.printf "@."
-      | None -> Format.printf "strong: Definitely does not hold@.");
-      None
+  let refuse_faults () =
+    prerr_endline
+      "wcpdetect: fault injection is only supported for the token algorithms";
+    exit 2
+  in
+  match Detectors.find algo with
+  | Ok d ->
+      if fault <> None && not d.faults then refuse_faults ();
+      let options = Detection.options ~slice () in
+      Some (d.run ?fault ?recorder ~ckpt_every ~options ~groups ~seed comp spec)
+  | Error _ -> (
+      if slice then ignore (detector_or_die "--slice" algo);
+      if fault <> None then refuse_faults ();
+      if recorder <> None then ignore (detector_or_die "tracing" algo);
+      match algo with
+      | "oracle" ->
+          Format.printf "oracle: %a@." Detection.pp_outcome
+            (Oracle.first_cut comp spec);
+          None
+      | "cooper-marzullo" ->
+          (match Cooper_marzullo.detect_wcp comp spec with
+          | Ok (outcome, expl) ->
+              Format.printf "cooper-marzullo: %a (explored %d cuts)@."
+                Detection.pp_outcome outcome expl.Cooper_marzullo.cuts_explored
+          | Error expl ->
+              Format.printf "cooper-marzullo: limit after %d cuts@."
+                expl.Cooper_marzullo.cuts_explored);
+          None
+      | _ ->
+          (match Strong.definitely comp spec with
+          | Some w ->
+              Format.printf "strong: Definitely holds; witness intervals:";
+              Array.iter
+                (fun (iv : Strong.interval) ->
+                  Format.printf " P%d:[%d,%d]" iv.Strong.proc iv.Strong.first
+                    iv.Strong.last)
+                w;
+              Format.printf "@."
+          | None -> Format.printf "strong: Definitely does not hold@.");
+          None)
 
 let detect_cmd =
   let run trace algo groups procs seed verbose slice stream drop dup crashes
@@ -534,13 +505,7 @@ let detect_cmd =
             "wcpdetect: --stream already detects on the slice; drop --slice";
           exit 2
         end;
-        (match algo with
-        | Vc | Multi | Dd | Dd_par | Checker | Parallel -> ()
-        | Oracle_a | Cm | Strong_a ->
-            prerr_endline
-              "wcpdetect: --stream needs a detection algorithm (token-vc, \
-               multi-token, token-dd, token-dd-par, checker or parallel)";
-            exit 2);
+        let d = detector_or_die "--stream" algo in
         let fail fmt =
           Printf.ksprintf
             (fun msg ->
@@ -558,15 +523,9 @@ let detect_cmd =
           | None -> Array.init (Btrace.num_processes reader) Fun.id
           | Some s -> parse_procs s
         in
-        (* Direct dependence's cuts span all N processes, so the slice
-           must keep non-spec processes (same policy as the detectors'
-           own --slice paths). *)
-        let keep_rest =
-          match algo with Dd | Dd_par -> true | _ -> false
-        in
         try
           Some
-            (Run_common.with_source ?recorder ~keep_rest
+            (Run_common.with_source ?recorder ~keep_rest:d.keep_rest
                (Btrace.source reader) ~procs:procs_arr
                ~run:(fun sliced spec' ->
                  match
@@ -938,9 +897,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the streaming detection service: accept concurrent \
-          wcp-serve/1 sessions (JSONL or wcp-frame/1 binary events), shard \
-          them across domains, slice incrementally as events arrive, and \
-          run detection at each session's finish. Sessions survive \
+          wcp-serve/1 sessions (JSONL or wcp-frame/1 binary events) and \
+          shard them across domains. The checkers (checker, parallel) \
+          eliminate candidates as events arrive and hold the cut the \
+          moment its completing event is fed; the token algorithms slice \
+          incrementally and detect on the finished slice. Sessions survive \
           disconnects: a reconnecting client resumes from the acked event.")
     Term.(
       const run $ setup_logs $ listen $ domains $ ring $ batch $ sessions
@@ -953,16 +914,10 @@ let feed_cmd =
       required & opt (some string) None & info [ "connect" ] ~docv:"ADDR" ~doc)
   in
   let algo =
-    let doc =
-      "Detection algorithm: token-vc, multi-token, token-dd, token-dd-par, \
-       checker or parallel."
-    in
-    let names =
-      [ "token-vc"; "multi-token"; "token-dd"; "token-dd-par"; "checker"; "parallel" ]
-    in
+    let doc = "Detection algorithm: " ^ or_list Detectors.names ^ "." in
     Arg.(
       value
-      & opt (enum (List.map (fun s -> (s, s)) names)) "token-vc"
+      & opt (enum (List.map (fun s -> (s, s)) Detectors.names)) "token-vc"
       & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let session =
@@ -1097,10 +1052,15 @@ let feed_cmd =
 
 let chaos_cmd =
   let algo =
-    let doc = "Algorithm under test: token-vc, multi-token or token-dd." in
+    let names =
+      List.filter_map
+        (fun (d : Detectors.t) -> if d.faults then Some d.name else None)
+        Detectors.all
+    in
+    let doc = "Algorithm under test: " ^ or_list names ^ "." in
     Arg.(
       value
-      & opt (enum [ ("token-vc", Vc); ("multi-token", Multi); ("token-dd", Dd) ]) Vc
+      & opt (enum (List.map (fun s -> (s, s)) names)) "token-vc"
       & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let run trace algo groups procs seed drop dup crashes restarts ckpt_every
@@ -1119,31 +1079,15 @@ let chaos_cmd =
     let recorder, finish_metrics =
       setup_metrics ~recorder ~metrics_out ~metrics_every
     in
-    let name, r, scope =
-      match algo with
-      | Vc ->
-          ( "token-vc",
-            Token_vc.detect ~fault ?recorder ~ckpt_every ~seed comp spec,
-            `Spec )
-      | Multi ->
-          ( "multi-token",
-            Token_multi.detect ~fault ?recorder ~ckpt_every
-              ~groups:(min groups (Spec.width spec))
-              ~seed comp spec,
-            `Spec )
-      | _ ->
-          ( "token-dd",
-            Token_dd.detect ~fault ?recorder ~ckpt_every ~seed comp spec,
-            `Full )
+    let d = detector_or_die "chaos" algo in
+    let r =
+      d.run ~fault ?recorder ~ckpt_every ~options:Detection.default_options
+        ~groups ~seed comp spec
     in
     (match (recorder, trace_out) with
     | Some rec_, Some path -> write_trace rec_ ~path ~format:trace_format
     | _ -> ());
-    let out =
-      match scope with
-      | `Spec -> r.Detection.outcome
-      | `Full -> Detection.project_outcome spec r.Detection.outcome
-    in
+    let out = Detectors.spec_outcome d spec r.Detection.outcome in
     let oracle =
       match out with
       | Detection.Undetectable_crashed _ -> "degraded"
@@ -1156,7 +1100,7 @@ let chaos_cmd =
     Format.printf
       "chaos %s drop=%.2f dup=%.2f crashes=%d: %a | retransmits=%d \
        dup-suppressed=%d net-drop=%d net-dup=%d crash-drop=%d | oracle: %s@."
-      name drop dup (List.length crashes) Detection.pp_outcome out
+      algo drop dup (List.length crashes) Detection.pp_outcome out
       (Stats.total_retransmits st)
       (Stats.total_dups_suppressed st)
       (Stats.net_dropped st) (Stats.net_duplicated st) (Stats.crash_dropped st)
@@ -1195,14 +1139,13 @@ let compare_cmd =
     Format.printf "%-14s %8s %10s %9s %9s %9s %6s %6s@." "algorithm" "msgs"
       "bits" "work" "max-work" "max-space" "hops" "time";
     List.iter
-      (fun (name, r, scope) ->
-        let out =
-          match scope with
-          | `Spec -> r.Detection.outcome
-          | `Full -> Detection.project_outcome spec r.Detection.outcome
+      (fun (d : Detectors.t) ->
+        let r =
+          d.run ~options:Detection.default_options ~groups:2 ~seed comp spec
         in
+        let out = Detectors.spec_outcome d spec r.Detection.outcome in
         let agree = Detection.outcome_equal out oracle in
-        Format.printf "%-14s %8d %10d %9d %9d %9d %6d %6.1f%s@." name
+        Format.printf "%-14s %8d %10d %9d %9d %9d %6d %6.1f%s@." d.name
           (Stats.total_sent r.Detection.stats)
           (Stats.total_bits r.Detection.stats)
           (Stats.total_work r.Detection.stats)
@@ -1210,16 +1153,7 @@ let compare_cmd =
           (Stats.max_space r.Detection.stats)
           r.Detection.extras.Detection.token_hops r.Detection.sim_time
           (if agree then "" else "  << DISAGREES"))
-      [
-        ("checker", Checker_centralized.detect ~seed comp spec, `Spec);
-        ("parallel", Checker_parallel.detect ~seed comp spec, `Spec);
-        ("token-vc", Token_vc.detect ~seed comp spec, `Spec);
-        ( "multi-token",
-          Token_multi.detect ~groups:(min 2 (Spec.width spec)) ~seed comp spec,
-          `Spec );
-        ("token-dd", Token_dd.detect ~seed comp spec, `Full);
-        ("token-dd-par", Token_dd.detect ~parallel:true ~seed comp spec, `Full);
-      ]
+      Detectors.all
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run every algorithm on a trace and tabulate.")

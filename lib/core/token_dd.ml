@@ -477,7 +477,7 @@ let rec detect ?network ?fault ?recorder ?(parallel = false)
   in
   let engine = Run_common.make_engine ?network ?fault ?recorder ~seed comp in
   Run_common.emit_run_meta engine
-    ~algo:(if parallel then "token-dd-parallel" else "token-dd")
+    ~algo:(if parallel then "token-dd-par" else "token-dd")
     ~n ~width:n;
   let outcome = ref None in
   let hops = ref 0 in

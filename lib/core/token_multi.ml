@@ -43,7 +43,7 @@ let rec detect ?network ?fault ?recorder ?(assignment = Round_robin)
     match fault with Some p when not (Fault.is_none p) -> Some p | _ -> None
   in
   let engine = Run_common.make_engine ?network ?fault ?recorder ~seed comp in
-  Run_common.emit_run_meta engine ~algo:"token-multi" ~n ~width;
+  Run_common.emit_run_meta engine ~algo:"multi-token" ~n ~width;
   (* Fetched once; tracing off means every hook below is one match. *)
   let recorder = Engine.recorder engine in
   let leader_id = Run_common.extra_id ~n in

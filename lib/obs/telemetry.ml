@@ -123,11 +123,9 @@ let to_json = function
    they bypass the generic [Json.emit] (which builds a 24-pair [Obj]
    per line) for direct buffer writes. The bytes are identical — a
    QCheck property pins [encode_line l = to_string (to_json l)] for
-   every line shape. *)
-let window_buf = Buffer.create 512
-
-let encode_window w =
-  let buf = window_buf in
+   every line shape. [buf] is the caller's: each tap owns one, so taps
+   on different domains never share a buffer. *)
+let encode_window buf w =
   Buffer.clear buf;
   let int k v =
     Buffer.add_string buf k;
@@ -164,7 +162,7 @@ let encode_window w =
   Buffer.contents buf
 
 let encode_line = function
-  | Window w -> encode_window w
+  | Window w -> encode_window (Buffer.create 512) w
   | l -> to_string (to_json l)
 
 let of_json j =
@@ -276,6 +274,7 @@ type t = {
   h_hop : Metrics.histogram;  (* cumulative, for the Prometheus page *)
   every : float;
   sink : string -> unit;
+  window_buf : Buffer.t;  (* scratch for [encode_window] *)
   alloc : unit -> float;
   reg : Metrics.t;
   c_events : Metrics.counter;
@@ -325,6 +324,7 @@ let create ?(every = default_every) ?(alloc = Gc.allocated_bytes)
     h_hop = Metrics.histogram reg "token_hop_latency";
     every;
     sink;
+    window_buf = Buffer.create 512;
     alloc;
     reg;
     c_events = Metrics.counter reg "events";
@@ -357,7 +357,10 @@ let lines t = t.lines
 
 let send t line =
   t.lines <- t.lines + 1;
-  t.sink (encode_line line)
+  t.sink
+    (match line with
+    | Window w -> encode_window t.window_buf w
+    | l -> encode_line l)
 
 (* The registry counters are flushed from the window accumulators at
    window boundaries (keeping the per-event path to one field

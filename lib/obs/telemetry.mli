@@ -123,7 +123,8 @@ val to_json : line -> Export.Json.t
 val encode_line : line -> string
 (** One stream line as JSON (no trailing newline). Window lines take a
     direct buffer-write fast path; the bytes are identical to
-    [Export.Json.to_string (to_json l)]. *)
+    [Export.Json.to_string (to_json l)]. Safe to call from any domain:
+    no scratch state is shared between calls or between taps. *)
 
 val decode_line : string -> (line, string) result
 (** Inverse of {!encode_line}; errors name the offending field. *)

@@ -93,7 +93,7 @@ type hello = {
   algo : string;  (** algorithm key, as the [-a] CLI flag *)
   procs : int array;  (** predicate scope (sorted, deduped) *)
   seed : int64;
-  groups : int;  (** token-multi group count *)
+  groups : int;  (** multi-token group count *)
   pred0 : bool array;  (** length [n]: initial per-process predicate *)
   frames : frames;
   metrics_every : float;  (** wcp-metrics/1 cadence in seconds; 0 = off *)

@@ -23,42 +23,6 @@ type config = {
 
 let event_bytes = Frame.event_bytes
 
-(* --- the algorithm table ------------------------------------------- *)
-
-type runner =
-  recorder:Wcp_obs.Recorder.t option ->
-  groups:int ->
-  seed:int64 ->
-  Computation.t ->
-  Spec.t ->
-  Detection.result
-
-(* [Online] algorithms eliminate candidates while events are fed (see
-   [offer] below); [Batch] ones have no honest online form and run on
-   the finished slice. [keep_rest]: the algorithm's cuts span all N
-   processes, so the slice keeps every state of the non-spec ones. *)
-type mode = Online | Batch of runner
-
-type algo = { name : string; keep_rest : bool; mode : mode }
-
-let algos =
-  let options = Detection.default_options in
-  let batch ?(keep_rest = false) name run = { name; keep_rest; mode = Batch run } in
-  [
-    batch "token-vc" (fun ~recorder ~groups:_ ~seed c s ->
-        Token_vc.detect ?recorder ~options ~seed c s);
-    batch "multi-token" (fun ~recorder ~groups ~seed c s ->
-        Token_multi.detect ?recorder ~options
-          ~groups:(min groups (Spec.width s))
-          ~seed c s);
-    batch ~keep_rest:true "token-dd" (fun ~recorder ~groups:_ ~seed c s ->
-        Token_dd.detect ?recorder ~options ~seed c s);
-    batch ~keep_rest:true "token-dd-par" (fun ~recorder ~groups:_ ~seed c s ->
-        Token_dd.detect ?recorder ~options ~parallel:true ~seed c s);
-    { name = "checker"; keep_rest = false; mode = Online };
-    { name = "parallel"; keep_rest = false; mode = Online };
-  ]
-
 (* --- online detection ---------------------------------------------- *)
 
 (* Garg–Waldecker queue elimination, Checker_centralized's fill/drive
@@ -140,7 +104,7 @@ let offer o k ~st ~vc ~events =
     end
   end
 
-type detector = Eliminating of online | Slicing of runner
+type detector = Eliminating of online | Slicing of Detectors.t
 
 type t = {
   cfg : config;
@@ -184,13 +148,9 @@ let fnv1a s =
   !h land max_int
 
 let create (cfg : config) =
-  match List.find_opt (fun a -> a.name = cfg.algo) algos with
-  | None ->
-      Error
-        (Printf.sprintf "unknown detection algorithm %S (want one of %s)"
-           cfg.algo
-           (String.concat ", " (List.map (fun a -> a.name) algos)))
-  | Some algo ->
+  match Detectors.find cfg.algo with
+  | Error _ as e -> e
+  | Ok algo ->
       if cfg.n <= 0 then Error "n must be positive"
       else if Array.length cfg.pred0 <> cfg.n then Error "pred0 length <> n"
       else if
@@ -213,28 +173,25 @@ let create (cfg : config) =
            state's flag. Online algorithms read clocks straight off the
            builder and keep no anchors at all. *)
         let keep =
-          match algo.mode with
-          | Online -> fun ~proc:_ ~state:_ -> false
-          | Batch _ ->
-              fun ~proc ~state:_ ->
-                if member.(proc) then cur_pred.(proc) else algo.keep_rest
+          if algo.Detectors.online then fun ~proc:_ ~state:_ -> false
+          else fun ~proc ~state:_ ->
+            if member.(proc) then cur_pred.(proc) else algo.Detectors.keep_rest
         in
         let builder =
           Slice.Incremental.create ~n:cfg.n ~keep ~pred0:(fun p -> cfg.pred0.(p))
         in
         let det =
-          match algo.mode with
-          | Batch run -> Slicing run
-          | Online ->
-              let o = online_create ~n:cfg.n procs in
-              Array.iteri
-                (fun k p ->
-                  if cfg.pred0.(p) && Option.is_none o.held then
-                    offer o k ~st:1
-                      ~vc:(Slice.Incremental.clock builder ~proc:p)
-                      ~events:0)
-                procs;
-              Eliminating o
+          if not algo.Detectors.online then Slicing algo
+          else
+            let o = online_create ~n:cfg.n procs in
+            Array.iteri
+              (fun k p ->
+                if cfg.pred0.(p) && Option.is_none o.held then
+                  offer o k ~st:1
+                    ~vc:(Slice.Incremental.clock builder ~proc:p)
+                    ~events:0)
+              procs;
+            Eliminating o
         in
         Ok
           {
@@ -552,7 +509,7 @@ let completed t = locked t (fun () -> t.resultv <> None)
 (* Batch: mirrors Run_common.with_source — slice phase mark, slice,
    re-spec, detect, remap — so the served cut is byte-identical to the
    offline [wcpdetect detect] rendering of the same trace. *)
-let run_batch t run ~recorder =
+let run_batch t (d : Detectors.t) ~recorder =
   (match recorder with
   | None -> ()
   | Some r ->
@@ -562,7 +519,8 @@ let run_batch t run ~recorder =
   let sliced = Slice.computation sl in
   let spec' = Spec.make sliced t.cfg.procs in
   let r =
-    run ~recorder ~groups:t.cfg.groups ~seed:t.cfg.seed sliced spec'
+    d.run ?recorder ~options:Detection.default_options ~groups:t.cfg.groups
+      ~seed:t.cfg.seed sliced spec'
   in
   ( Detection.remap_outcome (Slice.remap_cut sl) r.Detection.outcome,
     r.Detection.events,
@@ -618,7 +576,7 @@ let detect t ~on_metrics =
         match
           match t.det with
           | Eliminating o -> run_online t o ~recorder
-          | Slicing run -> run_batch t run ~recorder
+          | Slicing d -> run_batch t d ~recorder
         with
         | outcome, events, msgs, bits, hops ->
             close_tel ();

@@ -30,7 +30,7 @@
 type config = {
   id : string;
   n : int;  (** process count *)
-  algo : string;  (** CLI algorithm key; must be a detection algorithm *)
+  algo : string;  (** a {!Wcp_core.Detectors} name *)
   procs : int array;  (** predicate scope *)
   seed : int64;
   groups : int;

@@ -45,3 +45,10 @@ let random_full_cut comp seed =
 
 let outcome = Alcotest.testable Wcp_core.Detection.pp_outcome
     Wcp_core.Detection.outcome_equal
+
+(* Whether [sub] occurs in [s]. *)
+let contains s sub =
+  try
+    ignore (Str.search_forward (Str.regexp_string sub) s 0);
+    true
+  with Not_found -> false

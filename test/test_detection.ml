@@ -166,36 +166,97 @@ let test_finish_requires_outcome () =
 (* Cross-algorithm agreement                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The detector table: one entry per name users type, each unique, and
+   every entry's run announces itself ([Run_meta]) under that name. *)
+let test_table () =
+  let typed =
+    [
+      "token-vc"; "multi-token"; "token-dd"; "token-dd-par"; "checker";
+      "parallel";
+    ]
+  in
+  Alcotest.(check (list string)) "names" typed Detectors.names;
+  let comp = Helpers.build_comp (3, 3, 50, 50, 1) in
+  let spec = Spec.all comp in
+  List.iter
+    (fun name ->
+      match Detectors.find name with
+      | Error m -> Alcotest.failf "lookup of %s failed: %s" name m
+      | Ok d ->
+          let recorder = Wcp_obs.Recorder.create () in
+          ignore
+            (d.run ~recorder ~options:Detection.default_options ~groups:2
+               ~seed:1L comp spec);
+          Alcotest.(check (list string))
+            "Run_meta names the entry" [ name ]
+            (List.filter_map
+               (fun (e : Wcp_obs.Event.t) ->
+                 match e.body with
+                 | Wcp_obs.Event.Run_meta { algo; _ } -> Some algo
+                 | _ -> None)
+               (Array.to_list (Wcp_obs.Recorder.events recorder))))
+    typed;
+  (* A fault plan only means something on the simulated network. *)
+  let fault = Fault.uniform ~seed:1L ~drop:0.1 () in
+  List.iter
+    (fun (d : Detectors.t) ->
+      match
+        d.run ~fault ~options:Detection.default_options ~groups:2 ~seed:1L
+          comp spec
+      with
+      | _ -> if not d.faults then Alcotest.failf "%s took a fault plan" d.name
+      | exception Invalid_argument _ ->
+          if d.faults then Alcotest.failf "%s refused a fault plan" d.name)
+    Detectors.all;
+  match Detectors.find "token-multi" with
+  | Ok _ -> Alcotest.fail "an unknown name was found"
+  | Error m ->
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error %S lists %s" m name)
+            true (Helpers.contains m name))
+        typed
+
 (* The detectors implement the same problem with very different
    machinery (Fig. 3 token, §3.5 multi-token, §4 direct-dependence
-   token, Garg–Waldecker checker, domain-parallel rounds). On any
-   random computation they must all agree with the oracle — and
-   therefore with each other — on the outcome. *)
-let all_outcomes ~seed comp =
-  let spec = Spec.all comp in
-  [
-    ("token-vc", (Token_vc.detect ~seed comp spec).Detection.outcome);
-    ( "token-multi",
-      let groups = min 2 (Spec.width spec) in
-      (Token_multi.detect ~groups ~seed comp spec).Detection.outcome );
-    ( "token-dd",
-      Detection.project_outcome spec
-        (Token_dd.detect ~seed comp spec).Detection.outcome );
-    ("checker", (Checker_centralized.detect ~seed comp spec).Detection.outcome);
-    ("parallel", (Checker_parallel.detect ~seed comp spec).Detection.outcome);
-  ]
+   token and its §4.5 prefetching variant, Garg–Waldecker checker,
+   domain-parallel rounds). On any random computation every entry of
+   the table must agree with the oracle — and therefore with each
+   other — on the outcome, projected to the spec when its cut spans all
+   N processes. *)
+let all_outcomes ~seed comp spec =
+  List.map
+    (fun (d : Detectors.t) ->
+      let r =
+        d.run ~options:Detection.default_options ~groups:2 ~seed comp spec
+      in
+      (d.name, Detectors.spec_outcome d spec r.Detection.outcome))
+    Detectors.all
 
 let prop_algorithms_agree =
   Helpers.qtest ~count:60
     "vc, multi, dd, checker and parallel all match the oracle"
-    Helpers.gen_medium_comp (fun comp ->
-      let expected = Oracle.first_cut comp (Spec.all comp) in
+    QCheck2.Gen.(pair Helpers.gen_medium_comp (int_range 0 1000))
+    (fun (comp, k) ->
+      (* Every other run narrows the spec to a random subset, so the
+         keep_rest projection is exercised, not just the identity. *)
+      let n = Computation.n comp in
+      let procs =
+        if k mod 2 = 0 then Array.init n Fun.id
+        else
+          Array.of_list
+            (List.filter (fun p -> p = k mod n || (p + k) mod 3 = 0)
+               (List.init n Fun.id))
+      in
+      let spec = Spec.make comp procs in
+      let expected = Oracle.first_cut comp spec in
       List.for_all
         (fun (name, got) ->
           Detection.outcome_equal expected got
           || QCheck2.Test.fail_reportf "%s disagrees with the oracle: %a vs %a"
                name Detection.pp_outcome got Detection.pp_outcome expected)
-        (all_outcomes ~seed:7L comp))
+        (all_outcomes ~seed:7L comp spec))
 
 (* The parallel checker's determinism contract: dense or sliced, at
    any domain count, the outcome is the oracle's least cut — and the
@@ -289,7 +350,7 @@ let test_e2_anomaly_is_parameter_skew () =
         Alcotest.check Helpers.outcome
           (Printf.sprintf "%s: %s vs oracle" what name)
           expected got)
-      (all_outcomes ~seed:2L comp);
+      (all_outcomes ~seed:2L comp (Spec.all comp));
     expected
   in
   (* E2's parameters: everyone, oracle included, says "none". *)
@@ -327,6 +388,7 @@ let () =
             test_parallel_checker_degenerate;
           Alcotest.test_case "E2 n=32 seed=2 anomaly is parameter skew"
             `Quick test_e2_anomaly_is_parameter_skew;
+          Alcotest.test_case "detector table" `Quick test_table;
         ] );
       ( "run-common",
         [

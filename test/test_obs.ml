@@ -156,15 +156,10 @@ let run_traced algo ~n ~m ~seed =
   let comp = comp_of ~n ~m ~seed in
   let spec = Spec.all comp in
   let recorder = Recorder.create () in
-  (match algo with
-  | "token-vc" -> ignore (Token_vc.detect ~recorder ~seed comp spec)
-  | "token-dd" -> ignore (Token_dd.detect ~recorder ~seed comp spec)
-  | "token-dd-par" ->
-      ignore (Token_dd.detect ~parallel:true ~recorder ~seed comp spec)
-  | "token-multi" ->
-      ignore (Token_multi.detect ~groups:2 ~recorder ~seed comp spec)
-  | "checker" -> ignore (Checker_centralized.detect ~recorder ~seed comp spec)
-  | a -> invalid_arg a);
+  let d = Result.get_ok (Detectors.find algo) in
+  ignore
+    (d.run ~recorder ~options:Detection.default_options ~groups:2 ~seed comp
+       spec);
   Recorder.events recorder
 
 let test_equal_seed_byte_identical () =
@@ -217,11 +212,11 @@ let validate_log tag events =
   String.split_on_char '\n' (Export.jsonl events)
   |> List.iteri (fun i line ->
          if line <> "" then
-           match Wcp_bench.Bench_json.Json.parse line with
-           | exception Wcp_bench.Bench_json.Json.Parse_error msg ->
+           match Export.Json.parse line with
+           | exception Export.Json.Error msg ->
                Alcotest.failf "%s: line %d is not JSON: %s" tag (i + 1) msg
            | j ->
-               let open Wcp_bench.Bench_json.Json in
+               let open Export.Json in
                let kind = to_str (member "type" j) in
                if not (List.mem kind Event.kinds) then
                  Alcotest.failf "%s: line %d has unknown type %s" tag (i + 1)
@@ -252,13 +247,13 @@ let validate_log tag events =
       if e.Event.proc < -1 then Alcotest.failf "%s: bad proc at %d" tag i)
     events;
   (* The Chrome export of the same log must be a JSON document. *)
-  match Wcp_bench.Bench_json.Json.parse (Export.chrome events) with
-  | exception Wcp_bench.Bench_json.Json.Parse_error msg ->
+  match Export.Json.parse (Export.chrome events) with
+  | exception Export.Json.Error msg ->
       Alcotest.failf "%s: chrome export is not JSON: %s" tag msg
-  | j ->
-      ignore
-        (Wcp_bench.Bench_json.Json.to_list
-           (Wcp_bench.Bench_json.Json.member "traceEvents" j))
+  | j -> (
+      match Export.Json.member "traceEvents" j with
+      | Export.Json.Arr _ -> ()
+      | _ -> Alcotest.failf "%s: chrome traceEvents is not an array" tag)
 
 let corpus ~algos ~sizes ~seeds =
   List.iter
@@ -280,9 +275,7 @@ let test_schema_smoke () =
 let test_schema_corpus () =
   if Sys.getenv_opt "WCP_TRACE_CHECK" = None then ()
   else
-    corpus
-      ~algos:
-        [ "token-vc"; "token-dd"; "token-dd-par"; "token-multi"; "checker" ]
+    corpus ~algos:Detectors.names
       ~sizes:[ (4, 8); (8, 12); (12, 10) ]
       ~seeds:[ 1; 2; 3 ]
 

@@ -251,6 +251,26 @@ let test_window_semantics () =
            true
          with Not_found -> false)
 
+(* Taps on different domains share no encoder state: four domains each
+   stream the same synthetic run (one window line per event) at once,
+   and every stream must equal the sequential reference byte for byte. *)
+let test_domains_share_nothing () =
+  let stream () =
+    let tel, contents = collect () in
+    for i = 0 to 20_000 do
+      Telemetry.feed tel
+        { Event.seq = i; time = float_of_int i; proc = 0;
+          body = Event.No_detection_declared }
+    done;
+    Telemetry.close tel;
+    contents ()
+  in
+  let reference = stream () in
+  List.init 4 (fun _ -> Domain.spawn stream)
+  |> List.iteri (fun i d ->
+         if Domain.join d <> reference then
+           Alcotest.failf "domain %d: stream differs from the reference" i)
+
 (* ------------------------------------------------------------------ *)
 (* Live runs: invisibility, determinism, stream validation             *)
 (* ------------------------------------------------------------------ *)
@@ -261,11 +281,8 @@ let comp_of ~n ~m ~seed =
     ~seed ()
 
 let detect algo ?recorder ~seed comp spec =
-  match algo with
-  | "token-vc" -> Token_vc.detect ?recorder ~seed comp spec
-  | "token-dd" -> Token_dd.detect ?recorder ~seed comp spec
-  | "checker" -> Checker_centralized.detect ?recorder ~seed comp spec
-  | a -> invalid_arg a
+  (Result.get_ok (Detectors.find algo)).run ?recorder
+    ~options:Detection.default_options ~groups:2 ~seed comp spec
 
 (* A capacity-1 ring plus a telemetry tap is the bounded-memory
    always-on deployment the plane is built for; alloc sampling is
@@ -388,8 +405,7 @@ let test_stream_smoke () =
 let test_stream_corpus () =
   if Sys.getenv_opt "WCP_TELEMETRY_CHECK" = None then ()
   else
-    corpus
-      ~algos:[ "token-vc"; "token-dd"; "checker" ]
+    corpus ~algos:Detectors.names
       ~sizes:[ (4, 8); (8, 12); (12, 10) ]
       ~seeds:[ 1; 2; 3 ]
 
@@ -405,8 +421,12 @@ let () =
             test_decode_errors;
         ] );
       ( "windows",
-        [ Alcotest.test_case "window and phase mechanics" `Quick
-            test_window_semantics ] );
+        [
+          Alcotest.test_case "window and phase mechanics" `Quick
+            test_window_semantics;
+          Alcotest.test_case "taps on four domains" `Quick
+            test_domains_share_nothing;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "tap is invisible" `Quick
