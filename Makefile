@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench tables bench-json perf-check bench-smoke check chaos-soak recovery-soak trace-check telemetry-check btrace-check serve-check slice-check examples clean
+.PHONY: all build test bench tables bench-json perf-check bench-smoke check chaos-soak recovery-soak trace-check telemetry-check btrace-check serve-check examples clean
 
 # Committed machine-readable baseline (see EXPERIMENTS.md).
 BENCH_BASELINE ?= BENCH_1.json
@@ -116,7 +116,7 @@ btrace-check:
 	  cmp -s $$tmp/t$$n.trace $$tmp/back$$n.trace \
 	    || { echo "btrace-check: n=$$n convert round-trip drifted"; exit 1; }; \
 	  echo "btrace-check: n=$$n convert round-trip OK ($$(wc -c < $$tmp/t$$n.btrace) bytes)"; \
-	  for algo in token-vc token-dd checker; do \
+	  for algo in token-vc multi-token token-dd token-dd-par checker parallel; do \
 	    $$wcp detect $$tmp/t$$n.trace -a $$algo | cut -d'|' -f1 > $$tmp/dense.out; \
 	    $$wcp detect $$tmp/t$$n.btrace -a $$algo --stream | cut -d'|' -f1 > $$tmp/stream.out; \
 	    cmp -s $$tmp/dense.out $$tmp/stream.out \
@@ -164,15 +164,6 @@ serve-check:
 	  || { echo "serve-check: reconnect served cut != offline cut"; kill $$srv 2>/dev/null; exit 1; }; \
 	echo "serve-check: kill-and-reconnect OK ($$(cat $$tmp/served.out))"; \
 	wait $$srv || { echo "serve-check: server exited non-zero"; exit 1; }
-
-# Full-corpus slicing agreement sweep: every detector, dense vs sliced
-# (--slice / Detection.options ~slice:true), across sizes x predicate
-# densities x seeds x full and partial specs — outcomes must be
-# identical with cuts in dense coordinates. A bounded smoke of the same
-# sweep always runs inside `make test`; this target unlocks the whole
-# corpus.
-slice-check:
-	WCP_SLICE_CHECK=1 dune exec test/test_slice.exe -- test corpus
 
 examples:
 	@for e in quickstart mutual_exclusion database_locks \

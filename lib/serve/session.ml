@@ -463,13 +463,10 @@ let feed_one t ~word ~meta =
   t.cur_pred.(proc) <- pred;
   if word land 1 = 1 then
     Slice.Incremental.on_receive t.builder ~proc ~msg:(word lsr 24) ~pred
-  else begin
-    let dst = (word lsr 1) land Btrace.max_dst in
-    if dst >= t.cfg.n then
-      invalid_arg
-        (Printf.sprintf "send destination %d out of range (n=%d)" dst t.cfg.n);
-    Slice.Incremental.on_send t.builder ~proc ~dst ~msg:(word lsr 24) ~pred
-  end;
+  else
+    Slice.Incremental.on_send t.builder ~proc
+      ~dst:((word lsr 1) land Btrace.max_dst)
+      ~msg:(word lsr 24) ~pred;
   match t.det with
   | Eliminating ({ held = None; _ } as o) when pred && o.slot.(proc) >= 0 ->
       offer o o.slot.(proc)

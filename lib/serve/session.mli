@@ -120,9 +120,13 @@ val drain : t -> max:int -> progress
     algorithm, each predicate-true spec state into the elimination
     until the cut is held. Every event is fed even after that, so a
     stream that turns malformed later is still rejected. A feed or push
-    error (unknown message id, out-of-range process) poisons the
-    session, and the next drain reports {!Ready} so the error goes out
-    as its terminal line without waiting for finish. *)
+    error (an out-of-range process; a receive of a message not in
+    flight or addressed elsewhere; a self-send, an out-of-range
+    destination or an id already in flight — see
+    {!Wcp_slice.Slice.Incremental.on_send}) poisons the session, and
+    the next drain reports {!Ready} so the error goes out as its
+    terminal line without waiting for finish. A stream may end with
+    messages still in flight. *)
 
 val fed : t -> int
 (** Events fed to the builder so far. *)

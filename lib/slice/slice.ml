@@ -14,8 +14,6 @@ let vec_push v x =
   v.arr.(v.len) <- x;
   v.len <- v.len + 1
 
-let vec_get v i = v.arr.(i)
-
 (* One retained state. [avc] is its dense vector clock: the whole edge
    computation is happened-before queries between retained states, and
    (i, s) hb (j, t) for i <> j iff vc(j, t).(i) >= s. *)
@@ -23,7 +21,8 @@ type anchor = {
   dense : int;
   flag : bool;  (* dense predicate value at this state *)
   avc : int array;
-  in_edges : (int * int) list;  (* (src proc, src anchor ordinal), src asc *)
+  in_edges : int array;
+      (* (src proc, src anchor ordinal) pairs, flattened, src asc *)
 }
 
 type t = {
@@ -78,24 +77,37 @@ let pp_stats ppf t =
     t.retained t.edges
     (Computation.total_states t.sliced)
 
+module Itbl = Hashtbl.Make (Int)
+
+let invalid fmt =
+  Format.kasprintf (fun s -> raise (Computation.Invalid s)) fmt
+
 module Incremental = struct
   type pstate = {
     vc : int array;  (* dense vector clock of the current state *)
     mutable state : int;  (* current dense state index *)
     anchors : anchor vec;
+    mutable last_avc : int array;  (* clock of the latest anchor, or 0s *)
   }
 
   type builder = {
     n : int;
-    keep : proc:int -> state:int -> bool;
+    keep : int -> int -> bool -> bool;  (* proc, state, its flag *)
     procs : pstate array;
-    tags : (int, int array) Hashtbl.t;  (* in-flight msg -> sender clock *)
+    tags : int array Itbl.t;
+        (* in-flight msg -> sender clock, destination in slot [n] *)
     (* Clock arrays retired by [on_receive], reused by the next
        [on_send] instead of a fresh [Array.copy]. Every send otherwise
        allocates an n-word minor block, which at streaming rates makes
        the minor GC the dominant cost; the pool caps out at the peak
        number of in-flight messages. *)
     mutable tag_pool : int array list;
+    cursor : int array;
+        (* [p * n + i]: the latest anchor ordinal of [i] in the causal
+           past of [p]'s latest anchor, -1 for none *)
+    src_proc : int array;  (* [add_anchor] scratch, one slot per source *)
+    src_ord : int array;
+    src_kept : bool array;
     mutable events : int;
     mutable nretained : int;
     mutable nedges : int;
@@ -109,70 +121,77 @@ module Incremental = struct
 
   let clock b ~proc = Array.copy b.procs.(proc).vc
 
-  (* Greatest anchor ordinal of [ps] with [dense <= x], or -1. *)
-  let anchor_below ps x =
-    let lo = ref 0 and hi = ref (ps.anchors.len - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if (vec_get ps.anchors mid).dense <= x then begin
-        found := mid;
-        lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
-    !found
-
   (* The current state of [p] was just retained: compute its skeleton
      in-edges. For each other process [i], the candidate source is the
-     latest retained state of [i] visible here (pred_i = the greatest
-     anchor <= vc.(i) — everything at or below vc.(i) has already been
-     fed, so the answer can never change as more events arrive). An
-     edge is dropped when the previous anchor of [p] already sees the
-     source (chain pruning), and among the survivors only the
+     latest retained state of [i] visible here (the greatest anchor <=
+     vc.(i) — everything at or below vc.(i) has already been fed, so
+     the answer can never change as more events arrive). An edge is
+     dropped when the previous anchor of [p] already sees the source
+     (chain pruning), and among the survivors only the
      happened-before-maximal sources are kept (cover pruning): both
      prunings only discard edges recoverable from kept ones by
      transitivity, so happened-before restricted to anchors is
-     preserved exactly. *)
-  let add_anchor b p flag =
-    let ps = b.procs.(p) in
-    let prev =
-      if ps.anchors.len > 0 then Some (vec_get ps.anchors (ps.anchors.len - 1))
-      else None
-    in
-    let sources = ref [] in
-    for i = b.n - 1 downto 0 do
-      if i <> p then
-        let ord = anchor_below b.procs.(i) ps.vc.(i) in
-        if ord >= 0 then begin
-          let a = vec_get b.procs.(i).anchors ord in
-          let implied =
-            match prev with Some pa -> pa.avc.(i) >= a.dense | None -> false
-          in
-          if not implied then sources := (i, ord, a) :: !sources
-        end
-    done;
-    let sources = !sources in
-    let kept =
-      List.filter
-        (fun (i, _, (a : anchor)) ->
-          not
-            (List.exists
-               (fun (k, _, (ak : anchor)) -> k <> i && ak.avc.(i) >= a.dense)
-               sources))
-        sources
-    in
-    vec_push ps.anchors
-      {
-        dense = ps.state;
-        flag;
-        avc = Array.copy ps.vc;
-        in_edges = List.map (fun (i, ord, _) -> (i, ord)) kept;
-      };
-    b.nretained <- b.nretained + 1;
-    b.nedges <- b.nedges + List.length kept
+     preserved exactly.
 
-  let create ~n ~keep ~pred0 =
+     Entry [i] is only looked at when vc.(i) grew past the previous
+     anchor's: otherwise its source is the previous anchor's, which
+     chain pruning drops. vc.(i) only grows, so the candidate ordinal
+     only moves forward, and a per-(p, i) cursor finds it in amortised
+     O(1) per anchor of [i]. *)
+  let add_anchor b p flag =
+    let n = b.n in
+    let ps = b.procs.(p) in
+    let vc = ps.vc and last = ps.last_avc in
+    let nsrc = ref 0 in
+    for i = 0 to n - 1 do
+      let x = vc.(i) in
+      if i <> p && x > last.(i) then begin
+        let anc = b.procs.(i).anchors in
+        let c = ref b.cursor.((p * n) + i) in
+        while !c + 1 < anc.len && anc.arr.(!c + 1).dense <= x do
+          incr c
+        done;
+        b.cursor.((p * n) + i) <- !c;
+        if !c >= 0 && anc.arr.(!c).dense > last.(i) then begin
+          b.src_proc.(!nsrc) <- i;
+          b.src_ord.(!nsrc) <- !c;
+          incr nsrc
+        end
+      end
+    done;
+    let nsrc = !nsrc in
+    let nkept = ref 0 in
+    for s = 0 to nsrc - 1 do
+      let i = b.src_proc.(s) in
+      let d = b.procs.(i).anchors.arr.(b.src_ord.(s)).dense in
+      let covered = ref false and s' = ref 0 in
+      while (not !covered) && !s' < nsrc do
+        (if !s' <> s then
+           let k = b.src_proc.(!s') in
+           covered := b.procs.(k).anchors.arr.(b.src_ord.(!s')).avc.(i) >= d);
+        incr s'
+      done;
+      b.src_kept.(s) <- not !covered;
+      if not !covered then incr nkept
+    done;
+    let in_edges = Array.make (2 * !nkept) 0 in
+    let e = ref 0 in
+    for s = 0 to nsrc - 1 do
+      if b.src_kept.(s) then begin
+        in_edges.(!e) <- b.src_proc.(s);
+        in_edges.(!e + 1) <- b.src_ord.(s);
+        e := !e + 2
+      end
+    done;
+    let avc = Array.copy vc in
+    vec_push ps.anchors { dense = ps.state; flag; avc; in_edges };
+    ps.last_avc <- avc;
+    b.nretained <- b.nretained + 1;
+    b.nedges <- b.nedges + !nkept
+
+  let make ~n ~keep ~pred0 =
     if n < 1 then invalid_arg "Slice.Incremental.create: n < 1";
+    let zeros = Array.make n 0 in
     let b =
       {
         n;
@@ -181,58 +200,94 @@ module Incremental = struct
           Array.init n (fun p ->
               let vc = Array.make n 0 in
               vc.(p) <- 1;
-              { vc; state = 1; anchors = vec_create () });
-        tags = Hashtbl.create 64;
+              { vc; state = 1; anchors = vec_create (); last_avc = zeros });
+        tags = Itbl.create 64;
         tag_pool = [];
+        cursor = Array.make (n * n) (-1);
+        src_proc = Array.make n 0;
+        src_ord = Array.make n 0;
+        src_kept = Array.make n false;
         events = 0;
         nretained = 0;
         nedges = 0;
       }
     in
     for p = 0 to n - 1 do
-      if keep ~proc:p ~state:1 then add_anchor b p (pred0 p)
+      let flag = pred0 p in
+      if keep p 1 flag then add_anchor b p flag
     done;
     b
+
+  let create ~n ~keep ~pred0 =
+    make ~n ~keep:(fun proc state _ -> keep ~proc ~state) ~pred0
 
   let enter_state b p pred =
     let ps = b.procs.(p) in
     ps.vc.(p) <- ps.vc.(p) + 1;
     ps.state <- ps.state + 1;
     b.events <- b.events + 1;
-    if b.keep ~proc:p ~state:ps.state then add_anchor b p pred
+    if b.keep p ps.state pred then add_anchor b p pred
 
-  let on_send b ~proc ~dst:_ ~msg ~pred =
-    if proc < 0 || proc >= b.n then invalid_arg "Slice: bad process";
-    if Hashtbl.mem b.tags msg then
-      invalid_arg "Slice.Incremental.on_send: message id reused";
+  (* The feed primitives below validate in [Computation.of_arrays]'s
+     words, raising [Computation.Invalid]; the public entry points
+     re-raise as [Invalid_argument]. *)
+
+  let send b p ~dst ~msg ~pred =
+    if msg < 0 then invalid "negative message id %d" msg;
+    if dst < 0 || dst >= b.n then
+      invalid "message %d sent to invalid process %d" msg dst;
+    if dst = p then invalid "message %d is a self-send on %d" msg p;
+    if Itbl.mem b.tags msg then invalid "message %d sent twice" msg;
     let tag =
       match b.tag_pool with
       | t :: rest ->
           b.tag_pool <- rest;
-          Array.blit b.procs.(proc).vc 0 t 0 b.n;
+          Array.blit b.procs.(p).vc 0 t 0 b.n;
           t
-      | [] -> Array.copy b.procs.(proc).vc
+      | [] -> Array.append b.procs.(p).vc [| 0 |]
     in
-    Hashtbl.replace b.tags msg tag;
-    enter_state b proc pred
+    tag.(b.n) <- dst;
+    Itbl.add b.tags msg tag;
+    enter_state b p pred
 
-  let on_receive b ~proc ~msg ~pred =
-    if proc < 0 || proc >= b.n then invalid_arg "Slice: bad process";
-    let tag =
-      match Hashtbl.find_opt b.tags msg with
-      | Some tg -> tg
-      | None -> invalid_arg "Slice.Incremental.on_receive: receive before send"
-    in
-    Hashtbl.remove b.tags msg;
-    let ps = b.procs.(proc) in
+  (* The tag of [msg] if it is in flight, [None] if it was not sent
+     yet. *)
+  let in_flight b p msg =
+    match Itbl.find_opt b.tags msg with
+    | Some tag when tag.(b.n) <> p ->
+        invalid "message %d addressed to %d but received by %d" msg tag.(b.n)
+          p
+    | r -> r
+
+  let receive b p ~msg tag ~pred =
+    Itbl.remove b.tags msg;
+    let vc = b.procs.(p).vc in
     for k = 0 to b.n - 1 do
-      if tag.(k) > ps.vc.(k) then ps.vc.(k) <- tag.(k)
+      if tag.(k) > vc.(k) then vc.(k) <- tag.(k)
     done;
     b.tag_pool <- tag :: b.tag_pool;
-    enter_state b proc pred
+    enter_state b p pred
+
+  let check_proc b proc =
+    if proc < 0 || proc >= b.n then invalid_arg "Slice: bad process"
+
+  let on_send b ~proc ~dst ~msg ~pred =
+    check_proc b proc;
+    try send b proc ~dst ~msg ~pred
+    with Computation.Invalid m ->
+      invalid_arg ("Slice.Incremental.on_send: " ^ m)
+
+  let on_receive b ~proc ~msg ~pred =
+    check_proc b proc;
+    match in_flight b proc msg with
+    | Some tag -> receive b proc ~msg tag ~pred
+    | None -> invalid_arg "Slice.Incremental.on_receive: receive before send"
+    | exception Computation.Invalid m ->
+        invalid_arg ("Slice.Incremental.on_receive: " ^ m)
 
   (* Materialisation. Skeleton messages get canonical identifiers —
-     ascending by (target proc, target anchor, source proc) — and each
+     ascending by (target proc, target anchor, source proc) — so the
+     receives entering one anchor are a contiguous id range, and each
      process's script is laid out anchor by anchor: the sends leaving
      the previous anchor first, then the receives entering this one
      (sends carry exactly the past of their source anchor only if no
@@ -240,21 +295,46 @@ module Incremental = struct
      separated by no event collapse into one slice state. *)
   let finish b =
     let n = b.n in
-    let next_id = ref 0 in
-    let recvs_of =
-      Array.map (fun ps -> Array.make ps.anchors.len []) b.procs
-    in
-    let out = Array.map (fun ps -> Array.make ps.anchors.len []) b.procs in
+    let anchors j = b.procs.(j).anchors in
+    (* Out-edges bucketed by source anchor, by counting: [start.(i)]
+       first holds each bucket's start; filling in id order advances
+       [start.(i).(ord)] to the end of bucket [ord], after which bucket
+       [t] is [start.(i).(t - 1), start.(i).(t)) (from 0 for t = 0). *)
+    let start = Array.init n (fun i -> Array.make ((anchors i).len + 1) 0) in
+    let nrecv = Array.make n 0 in
     for j = 0 to n - 1 do
-      let anc = b.procs.(j).anchors in
+      let anc = anchors j in
       for t = 0 to anc.len - 1 do
-        List.iter
-          (fun (i, ord) ->
-            let id = !next_id in
-            incr next_id;
-            recvs_of.(j).(t) <- id :: recvs_of.(j).(t);
-            out.(i).(ord) <- (j, id) :: out.(i).(ord))
-          (vec_get anc t).in_edges
+        let e = anc.arr.(t).in_edges in
+        nrecv.(j) <- nrecv.(j) + (Array.length e / 2);
+        for k = 0 to (Array.length e / 2) - 1 do
+          let c = start.(e.(2 * k)) and ord = e.((2 * k) + 1) in
+          c.(ord + 1) <- c.(ord + 1) + 1
+        done
+      done
+    done;
+    Array.iter
+      (fun c ->
+        for t = 1 to Array.length c - 1 do
+          c.(t) <- c.(t) + c.(t - 1)
+        done)
+      start;
+    let nsend = Array.map (fun c -> c.(Array.length c - 1)) start in
+    let out_dst = Array.map (fun m -> Array.make m 0) nsend in
+    let out_id = Array.map (fun m -> Array.make m 0) nsend in
+    let id = ref 0 in
+    for j = 0 to n - 1 do
+      let anc = anchors j in
+      for t = 0 to anc.len - 1 do
+        let e = anc.arr.(t).in_edges in
+        for k = 0 to (Array.length e / 2) - 1 do
+          let i = e.(2 * k) and ord = e.((2 * k) + 1) in
+          let pos = start.(i).(ord) in
+          out_dst.(i).(pos) <- j;
+          out_id.(i).(pos) <- !id;
+          start.(i).(ord) <- pos + 1;
+          incr id
+        done
       done
     done;
     let ops = Array.make n [||] in
@@ -262,47 +342,56 @@ module Incremental = struct
     let anchor_dense = Array.make n [||] in
     let anchor_image = Array.make n [||] in
     let dense_of = Array.make n [||] in
+    let first_recv = ref 0 in
     for j = 0 to n - 1 do
-      let anc = b.procs.(j).anchors in
-      let opbuf = vec_create () in
-      let predbuf = vec_create () in
-      vec_push predbuf false;
-      let cur = ref 1 in
-      let pending = ref [] in
-      let emit_send (dstp, id) =
-        vec_push opbuf (Computation.Send { dst = dstp; msg = id });
-        incr cur;
-        vec_push predbuf false
+      let anc = anchors j in
+      let c = start.(j) in
+      let script =
+        Array.make (nrecv.(j) + nsend.(j)) (Computation.Recv { msg = 0 })
       in
-      let emit_recv id =
-        vec_push opbuf (Computation.Recv { msg = id });
-        incr cur;
-        vec_push predbuf false
+      let flags = Array.make (Array.length script + 1) false in
+      let len = ref 0 in
+      let emit op =
+        script.(!len) <- op;
+        incr len
       in
+      let emit_sends lo hi =
+        for s = lo to hi - 1 do
+          emit
+            (Computation.Send { dst = out_dst.(j).(s); msg = out_id.(j).(s) })
+        done
+      in
+      let recv = ref !first_recv in
       let images = Array.make anc.len 0 in
       let denses = Array.make anc.len 0 in
+      (* [lo, hi): the sends leaving the previous anchor, still pending *)
+      let lo = ref 0 and hi = ref 0 in
       for t = 0 to anc.len - 1 do
-        let a = vec_get anc t in
-        let recvs = List.rev recvs_of.(j).(t) in
-        if recvs <> [] || !pending <> [] then begin
-          List.iter emit_send !pending;
-          pending := [];
-          List.iter emit_recv recvs
+        let a = anc.arr.(t) in
+        let nin = Array.length a.in_edges / 2 in
+        if nin > 0 || !hi > !lo then begin
+          emit_sends !lo !hi;
+          for r = !recv to !recv + nin - 1 do
+            emit (Computation.Recv { msg = r })
+          done;
+          recv := !recv + nin
         end;
-        images.(t) <- !cur;
+        images.(t) <- !len + 1;
         denses.(t) <- a.dense;
-        if a.flag then predbuf.arr.(!cur - 1) <- true;
-        pending := List.rev out.(j).(t)
+        if a.flag then flags.(!len) <- true;
+        lo := (if t = 0 then 0 else c.(t - 1));
+        hi := c.(t)
       done;
-      List.iter emit_send !pending;
-      ops.(j) <- Array.sub opbuf.arr 0 opbuf.len;
-      preds.(j) <- Array.sub predbuf.arr 0 predbuf.len;
+      emit_sends !lo !hi;
+      first_recv := !recv;
+      ops.(j) <- script;
+      preds.(j) <- flags;
       anchor_dense.(j) <- denses;
       anchor_image.(j) <- images;
       (* Back-map: anchor states to the earliest dense member of their
          class, gap states to the following anchor, clamped at the
          trailing end. *)
-      let s_total = !cur in
+      let s_total = !len + 1 in
       let dmap = Array.make s_total 1 in
       if anc.len > 0 then begin
         let prev = ref 0 in
@@ -335,65 +424,100 @@ module Incremental = struct
     }
 end
 
-let of_source (src : Computation.Stream.source) ~keep =
-  let n = src.Computation.Stream.src_n in
-  let pred p s = src.Computation.Stream.pred ~proc:p ~state:s in
-  let b = Incremental.create ~n ~keep ~pred0:(fun p -> pred p 1) in
-  (* Feed the recorded run in a causally consistent order: round-robin
-     over processes, blocking each on its next unsatisfied receive —
-     the same linearisation [Computation.of_arrays] validates with.
-     Events are pulled through the cursor one at a time, so a btrace
-     source never materialises the run. *)
-  let nops = Array.init n src.Computation.Stream.num_ops in
+(* The feed stopped with [p] blocked on a receive of [w]: name the
+   defect in [Computation.of_arrays]'s words. Error path only, so one
+   more pass over the whole source is fine. *)
+let stuck (src : Computation.Stream.source) ~cursor p w =
+  let open Computation.Stream in
+  let sends = ref 0 and consumed = ref false in
+  for q = 0 to src.src_n - 1 do
+    for k = 0 to src.num_ops q - 1 do
+      match src.op ~proc:q ~k with
+      | Computation.Send { msg; _ } when msg = w ->
+          incr sends;
+          if k < cursor.(q) then consumed := true
+      | Computation.Send _ | Computation.Recv _ -> ()
+    done
+  done;
+  if !sends > 1 then invalid "message %d sent twice" w;
+  if !consumed then invalid "message %d received twice" w;
+  if !sends = 0 then invalid "message id %d never sent" w;
+  invalid "process %d blocked at event %d: causal cycle in trace" p cursor.(p)
+
+(* Feed a recorded run in a causally consistent order: round-robin over
+   processes, each running until it blocks on a receive whose message
+   is not in flight — the same linearisation [Computation.of_arrays]
+   validates with. Events and flags are pulled through the cursor one
+   at a time, each read once: a blocked receive keeps its message id
+   instead of being decoded again on every pass, and a flag is read as
+   its entering event is consumed and handed to [keep] with the state,
+   so a btrace source never materialises the run. *)
+let feed (src : Computation.Stream.source) ~keep =
+  let open Computation.Stream in
+  let n = src.src_n in
+  let pred p s = src.pred ~proc:p ~state:s in
+  let b = Incremental.make ~n ~keep ~pred0:(fun p -> pred p 1) in
+  let nops = Array.init n src.num_ops in
   let cursor = Array.make n 0 in
-  let states = Array.make n 1 in
+  let waiting = Array.make n (-1) in  (* message a blocked receive awaits *)
+  let recv p k msg =
+    match Incremental.in_flight b p msg with
+    | None ->
+        waiting.(p) <- msg;
+        false
+    | Some tag ->
+        waiting.(p) <- -1;
+        Incremental.receive b p ~msg tag ~pred:(pred p (k + 2));
+        true
+  in
+  (* Consume event [k] of [p] if it is enabled. *)
+  let step p k =
+    if waiting.(p) >= 0 then recv p k waiting.(p)
+    else
+      match src.op ~proc:p ~k with
+      | Computation.Send { dst; msg } ->
+          Incremental.send b p ~dst ~msg ~pred:(pred p (k + 2));
+          true
+      | Computation.Recv { msg } ->
+          if msg < 0 then invalid "receive of unknown message %d" msg;
+          recv p k msg
+  in
   let progress = ref true in
   while !progress do
     progress := false;
     for p = 0 to n - 1 do
-      let continue = ref true in
-      while !continue do
-        if cursor.(p) >= nops.(p) then continue := false
-        else
-          match src.Computation.Stream.op ~proc:p ~k:cursor.(p) with
-          | Computation.Send { dst; msg } ->
-              states.(p) <- states.(p) + 1;
-              Incremental.on_send b ~proc:p ~dst ~msg ~pred:(pred p states.(p));
-              cursor.(p) <- cursor.(p) + 1;
-              progress := true
-          | Computation.Recv { msg } ->
-              if Hashtbl.mem b.Incremental.tags msg then begin
-                states.(p) <- states.(p) + 1;
-                Incremental.on_receive b ~proc:p ~msg ~pred:(pred p states.(p));
-                cursor.(p) <- cursor.(p) + 1;
-                progress := true
-              end
-              else continue := false
+      while cursor.(p) < nops.(p) && step p cursor.(p) do
+        cursor.(p) <- cursor.(p) + 1;
+        progress := true
       done
     done
   done;
   Array.iteri
-    (fun p c ->
-      if c <> nops.(p) then failwith "Slice.make: computation not drained")
+    (fun p k -> if k < nops.(p) then stuck src ~cursor p waiting.(p))
     cursor;
+  if Itbl.length b.Incremental.tags > 0 then
+    invalid "message %d never received"
+      (Itbl.fold (fun m _ acc -> min m acc) b.Incremental.tags max_int);
   Incremental.finish b
+
+let of_source src ~keep =
+  feed src ~keep:(fun proc state _ -> keep ~proc ~state)
 
 let make comp ~keep = of_source (Computation.Stream.of_computation comp) ~keep
 
-let keep_for_spec (src : Computation.Stream.source) ~procs ~keep_rest =
-  let n = src.Computation.Stream.src_n in
+(* The detector-facing policy, on the flag the feed has just read. *)
+let keep_for_spec ~n ~procs ~keep_rest =
   let member = Array.make n false in
   Array.iter
     (fun p ->
       if p < 0 || p >= n then invalid_arg "Slice.for_spec: bad process";
       member.(p) <- true)
     procs;
-  fun ~proc ~state ->
-    if member.(proc) then src.Computation.Stream.pred ~proc ~state
-    else keep_rest
+  fun proc _ flag -> if member.(proc) then flag else keep_rest
 
 let for_spec_source ?(keep_rest = false) src ~procs =
-  of_source src ~keep:(keep_for_spec src ~procs ~keep_rest)
+  feed src
+    ~keep:(keep_for_spec ~n:src.Computation.Stream.src_n ~procs ~keep_rest)
 
 let for_spec ?(keep_rest = false) comp ~procs =
   for_spec_source ~keep_rest (Computation.Stream.of_computation comp) ~procs

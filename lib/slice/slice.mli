@@ -50,7 +50,18 @@ val of_source :
   Computation.Stream.source -> keep:(proc:int -> state:int -> bool) -> t
 (** {!make} over a streaming cursor: events and flags are pulled one
     at a time, so slicing an mmap'd {!Btrace} source holds only the
-    slice itself — never the dense computation — in memory. *)
+    slice itself — never the dense computation — in memory. Each event
+    and each flag is read once (two source reads per event), a flag at
+    the moment the event entering its state is consumed. The run is
+    checked as it is fed, so a streamed source is held to the same
+    soundness rules as {!Computation.of_arrays}.
+    @raise Computation.Invalid, in {!Computation.of_arrays}'s words, on
+    a self-send, a send to a process out of range, a message id sent
+    while the same id is in flight, a receive by a process other than
+    the addressee, a message never received, or a receive that can
+    never be enabled (a causal cycle, a message never sent or received
+    twice). A message id reused after its first message was received
+    names a new message here, where dense reading refuses it. *)
 
 val for_spec : ?keep_rest:bool -> Computation.t -> procs:int array -> t
 (** The detector-facing policy: processes in [procs] retain their
@@ -60,7 +71,10 @@ val for_spec : ?keep_rest:bool -> Computation.t -> procs:int array -> t
 
 val for_spec_source :
   ?keep_rest:bool -> Computation.Stream.source -> procs:int array -> t
-(** {!for_spec} over a streaming cursor (see {!of_source}). *)
+(** {!for_spec} over a streaming cursor (see {!of_source}, whose reads
+    and checks it shares: the keep policy decides on the flag the feed
+    has just read).
+    @raise Computation.Invalid as {!of_source}. *)
 
 val computation : t -> Computation.t
 (** The sliced computation — a well-formed [Computation.t] every
@@ -95,12 +109,19 @@ val pp_stats : Format.formatter -> t -> unit
     The same pass as an online builder: feed communication events in
     any causally consistent order (a receive after its send — the
     order any live execution or streamed JSONL log already delivers)
-    and the anchors and skeleton edges are computed as events arrive,
-    with O(n) work per event and O(frontier²) per new anchor. Edge
-    decisions depend only on already-fed history, so slicing a prefix
-    and extending it agrees with slicing the whole — the property the
-    live [Instrument] path and a streaming front end need. [make] is
-    this builder fed from the recorded computation. *)
+    and the anchors and skeleton edges are computed as events arrive.
+    An event costs O(n): a clock copy into the message table for a
+    send, a clock merge for a receive, and one int-keyed table
+    operation each way. A new anchor costs work only over the clock
+    entries that grew since the process's previous anchor: each such
+    entry advances a per-(process, process) cursor over the other
+    process's anchors, which only moves forward (amortised O(1) per
+    anchor it passes), and cover pruning compares the surviving
+    sources pairwise. Edge decisions depend only on already-fed
+    history, so slicing a prefix and extending it agrees with slicing
+    the whole — the property the live [Instrument] path and a
+    streaming front end need. [make] is this builder fed from the
+    recorded computation. *)
 module Incremental : sig
   type slice := t
 
@@ -116,15 +137,17 @@ module Incremental : sig
 
   val on_send : builder -> proc:int -> dst:int -> msg:int -> pred:bool -> unit
   (** Process [proc] sent message [msg] to [dst], entering a new local
-      state whose dense predicate flag is [pred]. Message identifiers
-      must be globally unique; [dst] is recorded for bookkeeping only.
-      @raise Invalid_argument on a reused message id. *)
+      state whose dense predicate flag is [pred]. [msg] must not be in
+      flight; [dst] is kept with it until it is received.
+      @raise Invalid_argument on a negative [msg], an [msg] already in
+      flight, a [dst] out of range or a self-send. *)
 
   val on_receive : builder -> proc:int -> msg:int -> pred:bool -> unit
   (** Process [proc] received [msg], entering a new state flagged
       [pred].
-      @raise Invalid_argument if [msg] was never sent (the feed must
-      be causally consistent). *)
+      @raise Invalid_argument if [msg] is not in flight (the feed must
+      be causally consistent) or was sent to a process other than
+      [proc]. *)
 
   val events_fed : builder -> int
 
@@ -143,5 +166,7 @@ module Incremental : sig
 
   val finish : builder -> slice
   (** Materialise the slice from the accumulated anchors and edges.
-      O(slice size); the builder must not be fed afterwards. *)
+      O(slice size); the builder must not be fed afterwards. Messages
+      still in flight are legal here (a served stream may end with
+      them) and leave no trace in the slice. *)
 end

@@ -242,32 +242,109 @@ let stream_sweep ~sizes ~densities ~seeds =
                   let agree name dense streamed =
                     Alcotest.check outcome (here name) dense streamed
                   in
-                  agree "token-vc"
-                    (Token_vc.detect ~seed comp spec).Detection.outcome
-                    (streamed_outcome reader ~procs ~keep_rest:false
-                       ~detect:(Token_vc.detect ~seed));
-                  agree "checker"
-                    (Checker_centralized.detect ~seed comp spec)
-                      .Detection.outcome
-                    (streamed_outcome reader ~procs ~keep_rest:false
-                       ~detect:(Checker_centralized.detect ~seed));
                   let groups = max 1 (Array.length procs / 2) in
-                  agree "token-multi"
-                    (Token_multi.detect ~groups ~seed comp spec)
-                      .Detection.outcome
-                    (streamed_outcome reader ~procs ~keep_rest:false
-                       ~detect:(Token_multi.detect ~groups ~seed));
-                  let project = Detection.project_outcome spec in
-                  agree "token-dd"
-                    (project
-                       (Token_dd.detect ~seed comp spec).Detection.outcome)
-                    (project
-                       (streamed_outcome reader ~procs ~keep_rest:true
-                          ~detect:(Token_dd.detect ~seed))))
+                  List.iter
+                    (fun (d : Detectors.t) ->
+                      let run comp spec =
+                        d.run ~options:Detection.default_options ~groups ~seed
+                          comp spec
+                      in
+                      let project = Detectors.spec_outcome d spec in
+                      agree d.name
+                        (project (run comp spec).Detection.outcome)
+                        (project
+                           (streamed_outcome reader ~procs
+                              ~keep_rest:d.keep_rest ~detect:run)))
+                    Detectors.all)
                 specs)
             seeds)
         densities)
     sizes
+
+(* Causal unsoundness in structurally clean images, one per defect
+   [Computation.of_arrays] names: the streamed path of [detect --stream]
+   must refuse each in the words of the dense reader, for every
+   detector, instead of printing a cut or dying on an internal error. *)
+let unsound_images () =
+  let valid ops =
+    Btrace.encode
+      (Computation.of_raw ~ops
+         ~pred:(Array.map (fun o -> Array.make (List.length o + 1) false) ops))
+  in
+  (* Overwrite event [k] of process [p] with [word]. *)
+  let edit img edits =
+    let b = Bytes.of_string img in
+    List.iter
+      (fun (p, k, word) ->
+        let ops_off = Int64.to_int (String.get_int64_le img (32 + (24 * p))) in
+        set_u64 b (ops_off + (8 * k)) word)
+      edits;
+    Bytes.to_string b
+  in
+  let written n f =
+    with_temp_file ".btrace" (fun path ->
+        let w = Btrace.Writer.create path ~n in
+        f w;
+        Btrace.Writer.close w;
+        read_bytes path)
+  in
+  let open Computation in
+  [
+    ( "message 0 addressed to 1 but received by 2",
+      written 3 (fun w ->
+          let msg = Btrace.Writer.send w ~src:0 ~dst:1 in
+          Btrace.Writer.recv w ~dst:2 ~msg) );
+    ( "message 0 never received",
+      written 2 (fun w -> ignore (Btrace.Writer.send w ~src:0 ~dst:1)) );
+    ( "process 0 blocked at event 0: causal cycle in trace",
+      edit
+        (valid
+           [|
+             [ Send { dst = 1; msg = 0 }; Recv { msg = 1 } ];
+             [ Recv { msg = 0 }; Send { dst = 0; msg = 1 } ];
+           |])
+        [
+          (0, 0, Btrace.pack_recv ~msg:1);
+          (0, 1, Btrace.pack_send ~dst:1 ~msg:0);
+        ] );
+    ( "message 0 sent twice",
+      edit
+        (valid
+           [|
+             [ Send { dst = 1; msg = 0 }; Send { dst = 1; msg = 1 } ];
+             [ Recv { msg = 0 }; Recv { msg = 1 } ];
+           |])
+        [ (0, 1, Btrace.pack_send ~dst:1 ~msg:0) ] );
+    ( "message 0 is a self-send on 0",
+      edit
+        (valid [| [ Send { dst = 1; msg = 0 } ]; [ Recv { msg = 0 } ] |])
+        [ (0, 0, Btrace.pack_send ~dst:0 ~msg:0) ] );
+  ]
+
+let test_unsound_streamed () =
+  List.iter
+    (fun (expected, img) ->
+      (match Btrace.decode img with
+      | (_ : Computation.t) -> Alcotest.failf "dense read accepted: %s" expected
+      | exception Computation.Invalid m ->
+          Alcotest.(check string) "dense" expected m);
+      let reader = Btrace.of_string img in
+      let procs = Array.init (Btrace.num_processes reader) Fun.id in
+      List.iter
+        (fun (d : Detectors.t) ->
+          let detect comp spec =
+            d.run ~options:Detection.default_options ~groups:1 ~seed:1L comp
+              spec
+          in
+          match
+            streamed_outcome reader ~procs ~keep_rest:d.keep_rest ~detect
+          with
+          | (_ : Detection.outcome) ->
+              Alcotest.failf "%s --stream accepted: %s" d.name expected
+          | exception Computation.Invalid m ->
+              Alcotest.(check string) (d.name ^ " --stream") expected m)
+        Detectors.all)
+    (unsound_images ())
 
 let test_stream_smoke () =
   stream_sweep ~sizes:[ (4, 8); (5, 6) ] ~densities:[ 0.3 ] ~seeds:[ 1; 2 ]
@@ -368,6 +445,8 @@ let () =
           Alcotest.test_case "cursor edge cases" `Quick
             test_source_cursor_edges;
           Alcotest.test_case "dense vs streamed smoke" `Quick test_stream_smoke;
+          Alcotest.test_case "unsound streams refused" `Quick
+            test_unsound_streamed;
           Alcotest.test_case "full corpus (WCP_BTRACE_CHECK=1)" `Slow
             test_stream_full;
           Alcotest.test_case "corpus convert round-trip" `Quick

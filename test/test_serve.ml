@@ -222,7 +222,7 @@ let test_metrics () =
 (* A raw JSONL client: hello, one poisoned event, finish. The server
    must answer welcome and then the error line within a bounded wait,
    whether the event fails when pushed (process out of range) or when
-   the worker drains it (receive of a message never sent). *)
+   the worker drains it (receive of a message never sent, self-send). *)
 let test_poisoned () =
   let wait_s = 5. in
   let answer addr ~session ~algo ev =
@@ -289,7 +289,15 @@ let test_poisoned () =
           Alcotest.(check bool)
             (algo ^ ": drain-time error names the stream: " ^ drain)
             true
-            (String.starts_with ~prefix:"bad event stream" drain))
+            (String.starts_with ~prefix:"bad event stream" drain);
+          let self_send =
+            answer addr ~session:("self-" ^ algo) ~algo
+              (Protocol.Ev { proc = 0; kind = 0; dst = 0; msg = 1; pred = false })
+          in
+          Alcotest.(check bool)
+            (algo ^ ": a self-send is refused: " ^ self_send)
+            true
+            (String.starts_with ~prefix:"bad event stream" self_send))
         arms)
 
 (* --- the online path, in process ------------------------------------ *)

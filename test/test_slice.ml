@@ -50,6 +50,21 @@ let same_computation a b =
               (List.init (Computation.num_states a p) (fun i -> i + 1)))
        (Array.init (Computation.n a) (fun p -> p))
 
+(* Same computation, same counts and the same back-map on every slice
+   state. *)
+let same_slice a b =
+  let ca = Slice.computation a in
+  same_computation ca (Slice.computation b)
+  && Slice.retained_states a = Slice.retained_states b
+  && Slice.skeleton_messages a = Slice.skeleton_messages b
+  && List.for_all
+       (fun p ->
+         List.for_all
+           (fun s ->
+             Slice.dense_state a ~proc:p s = Slice.dense_state b ~proc:p s)
+           (List.init (Computation.num_states ca p) (fun i -> i + 1)))
+       (List.init (Computation.n ca) Fun.id)
+
 (* --- Soundness: the oracle can't tell the difference --------------- *)
 
 let oracle_agrees ~keep_rest (comp, procs) =
@@ -109,6 +124,52 @@ let prop_hb_preserved =
                      (State.make ~proc:q ~index:t'))
             anchors)
         anchors)
+
+let prop_skeleton_is_cover =
+  (* An independent reference for the edge set: the skeleton has one
+     message per covering pair of dense happened-before over retained
+     states on distinct processes — (a, x) with a -> x and no retained
+     c with a -> c -> x — counted here by brute force. With
+     [prop_hb_preserved] this pins the edges exactly: an edge added or
+     dropped changes the count or the relation. *)
+  qtest ~count:300 "skeleton = covering pairs of hb over retained states"
+    gen_case
+    (fun (comp, procs) ->
+      List.for_all
+        (fun keep_rest ->
+          let n = Computation.n comp in
+          let member = Array.make n false in
+          Array.iter (fun p -> member.(p) <- true) procs;
+          let retained =
+            Array.of_list
+              (List.filter
+                 (fun (st : State.t) ->
+                   if member.(st.proc) then Computation.pred comp st
+                   else keep_rest)
+                 (Helpers.all_states comp))
+          in
+          let r = Array.length retained in
+          let hb =
+            Array.map
+              (fun a -> Array.map (Computation.happened_before comp a) retained)
+              retained
+          in
+          let covering = ref 0 in
+          for a = 0 to r - 1 do
+            for x = 0 to r - 1 do
+              if
+                hb.(a).(x)
+                && retained.(a).State.proc <> retained.(x).State.proc
+                && not
+                     (Array.exists Fun.id
+                        (Array.init r (fun c -> hb.(a).(c) && hb.(c).(x))))
+              then incr covering
+            done
+          done;
+          let sl = Slice.for_spec ~keep_rest comp ~procs in
+          Slice.retained_states sl = r
+          && Slice.skeleton_messages sl = !covering)
+        [ false; true ])
 
 let prop_maps_inverse =
   qtest "dense_state inverts slice_state on anchor classes" gen_case
@@ -183,11 +244,39 @@ let prop_feed_order_independent =
               end
         done
       done;
-      let via_incremental = Slice.Incremental.finish b in
-      let via_offline = Slice.for_spec ~keep_rest:true comp ~procs in
-      same_computation
-        (Slice.computation via_incremental)
-        (Slice.computation via_offline))
+      same_slice (Slice.Incremental.finish b)
+        (Slice.for_spec ~keep_rest:true comp ~procs))
+
+let test_builder_checks () =
+  (* A served stream: a receive by anyone but the addressee, a reused
+     in-flight id and a self-send are refused; a stream that ends with
+     messages still in flight is a legal prefix. *)
+  let b =
+    Slice.Incremental.create ~n:3 ~keep:(fun ~proc:_ ~state:_ -> true)
+      ~pred0:(fun _ -> false)
+  in
+  let refused name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  Slice.Incremental.on_send b ~proc:0 ~dst:1 ~msg:7 ~pred:false;
+  refused "receive by a non-addressee" (fun () ->
+      Slice.Incremental.on_receive b ~proc:2 ~msg:7 ~pred:false);
+  refused "in-flight id reused" (fun () ->
+      Slice.Incremental.on_send b ~proc:2 ~dst:1 ~msg:7 ~pred:false);
+  refused "self-send" (fun () ->
+      Slice.Incremental.on_send b ~proc:1 ~dst:1 ~msg:8 ~pred:false);
+  let b =
+    Slice.Incremental.create ~n:2 ~keep:(fun ~proc:_ ~state:_ -> true)
+      ~pred0:(fun _ -> true)
+  in
+  Slice.Incremental.on_send b ~proc:0 ~dst:1 ~msg:3 ~pred:true;
+  Slice.Incremental.on_send b ~proc:1 ~dst:0 ~msg:900 ~pred:false;
+  Slice.Incremental.on_receive b ~proc:0 ~msg:900 ~pred:false;
+  let sl = Slice.Incremental.finish b in
+  Alcotest.(check int) "anchors" 5 (Slice.retained_states sl);
+  Alcotest.(check int) "skeleton" 1 (Slice.skeleton_messages sl)
 
 (* --- Every detector, dense vs sliced ------------------------------- *)
 
@@ -280,15 +369,14 @@ let test_reduction () =
     true
     (2 * slice_states <= dense_states)
 
-(* --- Full-corpus sweep (make slice-check) -------------------------- *)
+(* --- Full-corpus sweep ----------------------------------------------- *)
 
 (* Unlike [test_detectors_agree], which drives [Slice.for_spec] and the
    remap by hand, this sweep goes through the user-facing plumbing:
    [Detection.options ~slice:true] handed to each detector, whose
    internal [Run_common.with_slice] must return outcomes already in
-   dense coordinates. Bounded smoke always runs; WCP_SLICE_CHECK=1
-   unlocks the whole corpus (sizes x densities x seeds x full and
-   partial specs). *)
+   dense coordinates, over sizes x densities x seeds x full and partial
+   specs. *)
 let corpus_sweep ~sizes ~densities ~seeds =
   let sliced_opts = Detection.options ~slice:true () in
   List.iter
@@ -361,12 +449,10 @@ let test_corpus_smoke () =
   corpus_sweep ~sizes:[ (4, 6) ] ~densities:[ 0.15 ] ~seeds:[ 1; 2 ]
 
 let test_corpus_full () =
-  if Sys.getenv_opt "WCP_SLICE_CHECK" = None then ()
-  else
-    corpus_sweep
-      ~sizes:[ (3, 8); (4, 10); (6, 10); (8, 12); (12, 10); (16, 10) ]
-      ~densities:[ 0.02; 0.05; 0.15; 0.3; 0.6 ]
-      ~seeds:[ 1; 2; 3; 4; 5 ]
+  corpus_sweep
+    ~sizes:[ (3, 8); (4, 10); (6, 10); (8, 12); (12, 10); (16, 10) ]
+    ~densities:[ 0.02; 0.05; 0.15; 0.3; 0.6 ]
+    ~seeds:[ 1; 2; 3; 4; 5 ]
 
 let () =
   Alcotest.run "slice"
@@ -376,9 +462,15 @@ let () =
           prop_oracle_vc_policy;
           prop_oracle_full_policy;
           prop_hb_preserved;
+          prop_skeleton_is_cover;
           prop_maps_inverse;
         ] );
-      ("structure", [ prop_idempotent; prop_feed_order_independent ]);
+      ( "structure",
+        [
+          prop_idempotent;
+          prop_feed_order_independent;
+          Alcotest.test_case "builder feed checks" `Quick test_builder_checks;
+        ] );
       ( "detectors",
         [
           Alcotest.test_case "all detectors, dense vs sliced" `Quick
@@ -389,7 +481,6 @@ let () =
       ( "corpus",
         [
           Alcotest.test_case "options-path smoke" `Quick test_corpus_smoke;
-          Alcotest.test_case "full corpus (WCP_SLICE_CHECK=1)" `Slow
-            test_corpus_full;
+          Alcotest.test_case "full corpus" `Quick test_corpus_full;
         ] );
     ]
