@@ -16,11 +16,14 @@ test:
 bench:
 	dune exec bench/main.exe
 
+# Every bench table, rendered from the committed baseline's rows
+# (instant); `make bench` renders a fresh run instead.
 tables:
-	dune exec bench/main.exe -- tables
+	dune exec bench/main.exe -- tables $(BENCH_BASELINE)
 
-# Regenerate the JSON benchmark baseline (all E1-E8 sweeps, fanned out
-# over domains; deterministic fields are domain-count independent).
+# Regenerate the JSON benchmark baseline (every experiment's full-profile
+# jobs, fanned out over domains; deterministic fields are domain-count
+# independent).
 bench-json:
 	dune exec bench/main.exe -- json --out $(BENCH_BASELINE)
 

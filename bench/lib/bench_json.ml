@@ -7,16 +7,18 @@ module Json = Wcp_obs.Export.Json
 (* ------------------------------------------------------------------ *)
 
 type job = {
-  experiment : string;  (* "E1".."E9", "E15".."E22" *)
+  experiment : string;  (* "E1".."E12", "E15".."E22" *)
   algo : string;
   n : int;
   m : int;  (* sends per process (adversary: its m parameter) *)
   p_pred : float;
   seed : int;
   param : int;
-      (* groups (multi), spec width (E5), drop % (E9), domain count
-         (E15, E18 parallel arm), delta flag 0/1 (E16), slice flag 0/1
-         (E17), restart flag 0/1 (E19), btrace-streamed flag 0/1 (E21),
+      (* groups (E3, E10), spec width (E5), 1 + the named workload's
+         index (E7, 0 for a random run), drop % (E9), latency model
+         index (E11), token start (E12), domain count (E15, E18
+         parallel arm), delta flag 0/1 (E16), slice flag 0/1 (E17),
+         restart flag 0/1 (E19), btrace-streamed flag 0/1 (E21),
          sessions*1000 + domains*10 + mode with mode 0 binary / 1 jsonl
          / 2 slow-client (E22), else 0 *)
 }
@@ -89,29 +91,64 @@ let detector name =
   | Ok d -> d
   | Error m -> invalid_arg ("Bench_json: " ^ m)
 
-let spec_for job comp =
-  match job.experiment with
-  | "E4" | "E8" -> Spec.make comp [| 0; job.n / 2 |]
-  | "E5" ->
-      let rng = Wcp_util.Rng.create (Int64.of_int job.seed) in
-      Spec.make comp (Generator.random_procs rng ~n:job.n ~width:job.param)
-  | _ -> Spec.all comp
+(* E7's named rows replay these workloads; a row's [param] is 1 + the
+   workload's index. *)
+let e7_workloads () = Workloads.all ~seed:2025L
+
+let e7_workload_names () =
+  List.map (fun (w : Workloads.t) -> w.name) (e7_workloads ())
+
+(* E11's latency models, selected by [param]; the FIFO links are the
+   default network's. *)
+let e11_latencies =
+  Wcp_sim.Network.
+    [
+      ("constant 1.0", Constant 1.0);
+      ("uniform [0.5,1.5)", Uniform (0.5, 1.5));
+      ("uniform [0.1,10)", Uniform (0.1, 10.0));
+      ("exponential mean 1", Exponential 1.0);
+      ("exponential mean 5", Exponential 5.0);
+    ]
+
+let e11_network ~n latency =
+  let fifo ~src ~dst =
+    src < n
+    && (dst = Run_common.monitor_of ~n src || dst = Run_common.extra_id ~n)
+  in
+  Wcp_sim.Network.create ~fifo ~latency ()
+
+(* The job's computation and the processes its WCP spans. *)
+let workload job =
+  if job.experiment = "E7" && job.param > 0 then
+    let w = List.nth (e7_workloads ()) (job.param - 1) in
+    (w.comp, Spec.make w.comp w.procs)
+  else
+    let comp =
+      Generator.random
+        ~params:
+          {
+            Generator.n = job.n;
+            sends_per_process = job.m;
+            p_pred = job.p_pred;
+            p_recv = 0.5;
+          }
+        ~seed:(Int64.of_int job.seed) ()
+    in
+    let spec =
+      match job.experiment with
+      | "E4" | "E8" -> Spec.make comp [| 0; job.n / 2 |]
+      | "E5" ->
+          let rng = Wcp_util.Rng.create (Int64.of_int job.seed) in
+          Spec.make comp (Generator.random_procs rng ~n:job.n ~width:job.param)
+      | "E11" -> Spec.make comp [| 0; 3; 6; 9 |]
+      | _ -> Spec.all comp
+    in
+    (comp, spec)
 
 (* One simulation run of a job, optionally traced. A fresh fault plan
    is built per run (its PRNG stream is private mutable state). *)
 let run_sim ?recorder job =
-  let comp =
-    Generator.random
-      ~params:
-        {
-          Generator.n = job.n;
-          sends_per_process = job.m;
-          p_pred = job.p_pred;
-          p_recv = 0.5;
-        }
-      ~seed:(Int64.of_int job.seed) ()
-  in
-  let spec = spec_for job comp in
+  let comp, spec = workload job in
   let seed = Int64.of_int job.seed in
   (* E9 runs under chaos: drop rate param%, duplication at half the
      drop rate, fault stream seeded by the job seed. *)
@@ -147,20 +184,41 @@ let run_sim ?recorder job =
      (identical outcome, remapped cut), param=0 on the dense run. *)
   let slice = job.experiment = "E17" && job.param <> 0 in
   let options = Detection.options ~delta ~slice () in
-  (* [param] is multi-token's group count in E3; in E16/E17/E19 it is
-     the delta/slice/restart flag, so the group count is pinned at 2
-     (the E3 sweet spot). In E18 it is the parallel checker's own
-     domain count (not the bench harness parallelism); 0 falls back to
-     WCP_DOMAINS. *)
-  let groups =
-    if List.mem job.experiment [ "E16"; "E17"; "E19" ] then 2 else job.param
+  (* [param] is multi-token's group count in E3; elsewhere the group
+     count is pinned at 2 (the E3 sweet spot). In E18 it is the parallel
+     checker's own domain count (not the bench harness parallelism);
+     elsewhere the checker falls back to WCP_DOMAINS. *)
+  let groups = if job.experiment = "E3" then job.param else 2 in
+  let domains =
+    if job.experiment = "E18" && job.param > 0 then Some job.param else None
   in
-  let domains = if job.param > 0 then Some job.param else None in
+  (* E10-E12 ablate the choices the paper leaves open: the multi-token
+     group assignment, the latency model and the token's first monitor. *)
+  let token ?network ?start_at () =
+    match job.algo with
+    | "token-vc" ->
+        Token_vc.detect ?recorder ?network ?start_at ~options ~seed comp spec
+    | "token-dd" ->
+        Token_dd.detect ?recorder ?network ?start_at ~options ~seed comp spec
+    | a -> invalid_arg ("Bench_json: no " ^ job.experiment ^ " arm for " ^ a)
+  in
   let r =
-    (detector job.algo).run ?fault ?recorder ~options ~groups ?domains ~seed
-      comp spec
+    match job.experiment with
+    | "E10" ->
+        Token_multi.detect ?recorder ~assignment:Token_multi.Blocks ~options
+          ~groups:job.param ~seed comp spec
+    | "E11" ->
+        token
+          ~network:
+            (e11_network ~n:(Computation.n comp)
+               (snd (List.nth e11_latencies job.param)))
+          ()
+    | "E12" -> token ~start_at:job.param ()
+    | _ ->
+        (detector job.algo).run ?fault ?recorder ~options ~groups ?domains
+          ~seed comp spec
   in
-  (comp, r)
+  (comp, spec, r)
 
 (* ------------------------------------------------------------------ *)
 (* E15: multicore throughput                                           *)
@@ -181,7 +239,7 @@ let run_e15 job =
   if job.param < 1 then
     invalid_arg "Bench_json: E15 param is the domain count (>= 1)";
   let session seed =
-    let comp, r = run_sim { job with seed; param = 0 } in
+    let comp, _, r = run_sim { job with seed; param = 0 } in
     ( r.Detection.outcome,
       ("states", Json.Int (Computation.total_states comp)) :: result_cols r )
   in
@@ -561,7 +619,7 @@ let run_detection job =
   Gc.minor ();
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
-  let comp, r =
+  let comp, spec, r =
     if telemetry_on then begin
       let cr, stream = run_attached job in
       timed_stream := stream;
@@ -624,7 +682,6 @@ let run_detection job =
      compares end-to-end dense vs sliced). *)
   let slice_states, slice_ns =
     if job.experiment = "E17" && job.param <> 0 then begin
-      let spec = spec_for job comp in
       let t0 = Unix.gettimeofday () in
       let sl =
         Wcp_slice.Slice.for_spec ~keep_rest:(detector job.algo).keep_rest comp
@@ -650,8 +707,17 @@ let run_detection job =
     in
     if restore_t = Float.neg_infinity then 0.0 else r.sim_time -. restore_t
   in
+  (* Every detection row is checked against the oracle's first cut,
+     outside the timed window; a keep_rest cut is projected to the spec
+     first. *)
+  let oracle_ok =
+    Detection.outcome_equal
+      (Detectors.spec_outcome (detector job.algo) spec r.Detection.outcome)
+      (Oracle.first_cut comp spec)
+  in
   let outcome =
     if not telemetry_ok then "telemetry-mismatch"
+    else if not oracle_ok then "oracle-mismatch"
     else
       match r.Detection.outcome with
       | Detection.Detected cut ->
@@ -669,10 +735,20 @@ let run_detection job =
       | Detection.Undetectable_crashed _ -> "undetectable"
   in
   let st = r.Detection.stats in
+  (* The monitoring plane: the monitors (engine ids n..2n-1) and the
+     checker or leader (id 2n), apart from the application processes. *)
+  let n = Computation.n comp in
+  let monitor_ids =
+    List.init (max 0 (min (n + 1) (Wcp_sim.Stats.n st - n))) (fun i -> n + i)
+  in
+  let over f g = List.fold_left (fun acc p -> f acc (g st p)) 0 monitor_ids in
   row job outcome ~wall_ns ~alloc_bytes
     ((("states", Json.Int (Computation.total_states comp)) :: result_cols r)
     @ Json.
         [
+          ("max_events", Int (Computation.max_events_per_process comp));
+          ("monitor_bits", Int (over ( + ) Wcp_sim.Stats.bits));
+          ("monitor_space", Int (over max Wcp_sim.Stats.space_high_water));
           ("retransmits", Int (Wcp_sim.Stats.total_retransmits st));
           ("dups_suppressed", Int (Wcp_sim.Stats.total_dups_suppressed st));
           ("net_dropped", Int (Wcp_sim.Stats.net_dropped st));
@@ -721,6 +797,18 @@ let job ?(p_pred = 0.3) ?(param = 0) experiment algo ~n ~m ~seed () =
 
 let seeds = [ 1; 2; 3 ]
 
+(* E7's named-workload rows, detection seed 11. *)
+let e7_named algos =
+  List.concat
+    (List.mapi
+       (fun i (w : Workloads.t) ->
+         List.map
+           (fun algo ->
+             job "E7" algo ~n:(Computation.n w.comp) ~m:0 ~p_pred:0.0 ~seed:11
+               ~param:(i + 1) ())
+           algos)
+       (e7_workloads ()))
+
 let jobs = function
   | Smoke ->
       (* Every smoke job is ALSO a Full job (same key, same workload),
@@ -730,11 +818,16 @@ let jobs = function
         job "E1" "token-vc" ~n:8 ~m:20 ~seed:1 ();
         job "E1" "token-vc" ~n:8 ~m:20 ~seed:2 ();
         job "E2" "checker" ~n:8 ~m:16 ~seed:1 ();
+        job "E2" "token-vc" ~n:8 ~m:16 ~seed:1 ();
         job "E3" "multi-token" ~n:24 ~m:16 ~p_pred:0.25 ~param:2 ~seed:1 ();
         job "E4" "token-dd" ~n:8 ~m:12 ~p_pred:0.05 ~seed:1 ();
+        List.hd (e7_named [ "token-vc" ]);
         job "E8" "token-dd-par" ~n:8 ~m:10 ~p_pred:0.05 ~seed:1 ();
         job "E9" "token-vc" ~n:8 ~m:10 ~param:20 ~seed:1 ();
         job "E9" "token-dd" ~n:8 ~m:10 ~param:20 ~seed:1 ();
+        job "E10" "multi-token" ~n:24 ~m:16 ~p_pred:0.25 ~param:2 ~seed:1 ();
+        job "E11" "token-vc" ~n:12 ~m:12 ~p_pred:0.2 ~param:4 ~seed:1 ();
+        job "E12" "token-dd" ~n:16 ~m:12 ~param:5 ~seed:1 ();
         job "E15" "token-vc" ~n:8 ~m:12 ~param:2 ~seed:0 ();
         job "E16" "token-vc" ~n:8 ~m:20 ~param:0 ~seed:1 ();
         job "E16" "token-vc" ~n:8 ~m:20 ~param:1 ~seed:1 ();
@@ -775,14 +868,17 @@ let jobs = function
         (fun n -> per_seed (fun seed -> job "E1" "token-vc" ~n ~m:20 ~seed ()))
         [ 2; 4; 8; 16; 24; 32 ]
       @ sweep
-          (fun n -> per_seed (fun seed -> job "E2" "checker" ~n ~m:16 ~seed ()))
+          (fun n ->
+            sweep
+              (fun algo -> per_seed (fun seed -> job "E2" algo ~n ~m:16 ~seed ()))
+              [ "checker"; "token-vc" ])
           [ 2; 4; 8; 16; 24; 32 ]
       @ sweep
           (fun groups ->
             per_seed (fun seed ->
                 job "E3" "multi-token" ~n:24 ~m:16 ~p_pred:0.25 ~param:groups
                   ~seed ()))
-          [ 1; 2; 4; 8 ]
+          [ 1; 2; 3; 4; 6; 8; 12 ]
       @ sweep
           (fun n ->
             per_seed (fun seed ->
@@ -795,15 +891,18 @@ let jobs = function
                 per_seed (fun seed ->
                     job "E5" algo ~n:64 ~m:8 ~param:width ~seed ()))
               [ "token-vc"; "token-dd" ])
-          [ 2; 8; 32; 64 ]
+          [ 2; 4; 8; 16; 32; 48; 64 ]
       @ List.map
           (fun (n, m) -> job "E6" "adversary" ~n ~m ~p_pred:0.0 ~seed:0 ())
-          [ (8, 16); (16, 16); (32, 32) ]
+          [ (2, 16); (4, 16); (8, 16); (16, 16); (16, 64); (32, 32); (64, 16) ]
+      (* E7: every detector on the named workloads, then on random runs
+         with never/sometimes/always-true predicates (detection seed 9). *)
+      @ e7_named Detectors.names
       @ sweep
           (fun p_pred ->
             List.map
               (fun algo -> job "E7" algo ~n:6 ~m:10 ~p_pred ~seed:9 ())
-              [ "checker"; "token-vc"; "token-dd"; "token-dd-par" ])
+              Detectors.names)
           [ 0.0; 0.3; 1.0 ]
       @ sweep
           (fun n ->
@@ -812,7 +911,7 @@ let jobs = function
                 per_seed (fun seed ->
                     job "E8" algo ~n ~m:10 ~p_pred:0.05 ~seed ()))
               [ "token-dd"; "token-dd-par" ])
-          [ 4; 8; 16; 32 ]
+          [ 4; 8; 16; 32; 64 ]
       @ sweep
           (fun drop_pct ->
             sweep
@@ -821,6 +920,32 @@ let jobs = function
                     job "E9" algo ~n:8 ~m:10 ~param:drop_pct ~seed ()))
               [ "token-vc"; "token-dd" ])
           [ 10; 20; 30 ]
+      (* E10: the contiguous-blocks group assignment; the round-robin arm
+         is E3's rows. *)
+      @ sweep
+          (fun groups ->
+            per_seed (fun seed ->
+                job "E10" "multi-token" ~n:24 ~m:16 ~p_pred:0.25 ~param:groups
+                  ~seed ()))
+          [ 2; 4; 8 ]
+      (* E11: the latency models of [e11_latencies], by index. *)
+      @ sweep
+          (fun model ->
+            sweep
+              (fun algo ->
+                per_seed (fun seed ->
+                    job "E11" algo ~n:12 ~m:12 ~p_pred:0.2 ~param:model ~seed ()))
+              [ "token-vc"; "token-dd" ])
+          (List.mapi (fun i _ -> i) e11_latencies)
+      (* E12: the monitor the token starts on. *)
+      @ sweep
+          (fun start ->
+            sweep
+              (fun algo ->
+                per_seed (fun seed ->
+                    job "E12" algo ~n:16 ~m:12 ~param:start ~seed ()))
+              [ "token-vc"; "token-dd" ])
+          [ 0; 5; 10; 15 ]
       (* E15: throughput of a fixed 24-session batch across domain
          counts. All deterministic fields are domain-count independent
          (and outcome="ok" asserts byte-identity against a sequential
@@ -967,8 +1092,8 @@ let jobs = function
           job "E22" "token-vc" ~n:8 ~m:20000 ~p_pred:0.01 ~param:1012 ~seed:1 ();
         ]
 
-let run ?domains profile =
-  let js = Array.of_list (jobs profile) in
+let run ?domains ?(only = fun _ -> true) profile =
+  let js = Array.of_list (List.filter only (jobs profile)) in
   Wcp_util.Parallel.map ?domains run_job js
 
 
@@ -1004,8 +1129,12 @@ let run ?domains profile =
    nonzero columns the row's runner computed, in name order; a missing
    column reads as zero. The multi-token rows are labelled
    "multi-token", the name the detector table and the CLI use. No
-   value moved. *)
-let schema = "wcp-bench/11"
+   value moved.
+   v12: the rows every bench table prints (E2's token-vc arm, more E3,
+   E5, E6 and E8 sweep points, E7 on named workloads and all six
+   detectors, E10-E12), the max_events/monitor_bits/monitor_space
+   columns, and an oracle-mismatch outcome; no existing value moved. *)
+let schema = "wcp-bench/12"
 
 let row_to_json r =
   let j = r.job in
@@ -1122,12 +1251,12 @@ let deterministic_equal a b = a.job = b.job && drift a b = []
    floor so scheduler noise on sub-millisecond experiments cannot trip
    the gate. Returns human-readable failure lines, empty on success.
 
-   [subset] (default false) flips the coverage direction: instead of
-   requiring every baseline job to be present in [current], it requires
-   every current job to exist in the baseline — the `make bench-smoke`
-   mode, where a small smoke run is checked against the committed full
-   baseline. Wall totals are then restricted to the jobs the smoke run
-   actually executed. *)
+   Every current job must exist in the baseline. Unless [subset]
+   (default false), every baseline job must also be present in
+   [current]; [subset] is the `make bench-smoke` mode, where a small
+   smoke run is checked against the committed full baseline. Wall
+   totals are then restricted to the jobs the smoke run actually
+   executed. *)
 let wall_floor_ns = 10_000_000
 
 let compare_runs ?(tolerance = 0.20) ?(subset = false) ~baseline ~current () =
@@ -1151,24 +1280,23 @@ let compare_runs ?(tolerance = 0.20) ?(subset = false) ~baseline ~current () =
                   Printf.sprintf "%s %s -> %s" k (value b k) (value c k))
                 ks))
   in
-  let cur_tbl = Hashtbl.create 64 in
-  Array.iter (fun r -> Hashtbl.replace cur_tbl (job_key r.job) r) current;
-  if subset then begin
-    let base_tbl = Hashtbl.create 64 in
-    Array.iter (fun r -> Hashtbl.replace base_tbl (job_key r.job) r) baseline;
-    Array.iter
-      (fun c ->
-        match Hashtbl.find_opt base_tbl (job_key c.job) with
-        | None -> err "job not in baseline: %s" (job_key c.job)
-        | Some b -> drift b c)
-      current
-  end
-  else
+  let table rows =
+    let t = Hashtbl.create 64 in
+    Array.iter (fun r -> Hashtbl.replace t (job_key r.job) r) rows;
+    t
+  in
+  let base_tbl = table baseline and cur_tbl = table current in
+  Array.iter
+    (fun c ->
+      match Hashtbl.find_opt base_tbl (job_key c.job) with
+      | None -> err "job not in baseline: %s" (job_key c.job)
+      | Some b -> drift b c)
+    current;
+  if not subset then
     Array.iter
       (fun b ->
-        match Hashtbl.find_opt cur_tbl (job_key b.job) with
-        | None -> err "missing job: %s" (job_key b.job)
-        | Some c -> drift b c)
+        if not (Hashtbl.mem cur_tbl (job_key b.job)) then
+          err "missing job: %s" (job_key b.job))
       baseline;
   (* Wall-clock: per-experiment totals, 20% headroom. In subset mode
      only the baseline jobs the current run re-ran count towards the

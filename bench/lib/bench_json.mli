@@ -1,6 +1,6 @@
 (** Machine-readable benchmark harness.
 
-    Runs the E1-E9 and E15-E22 experiment sweeps as independent jobs
+    Runs the E1-E12 and E15-E22 experiment sweeps as independent jobs
     (fanned out over domains with {!Wcp_util.Parallel}), records one
     row per job, and serialises the lot as a stable JSON document
     suitable for committing as a regression baseline (see
@@ -13,7 +13,7 @@
     {!compare_runs} enforces this against a committed baseline. *)
 
 type job = {
-  experiment : string;  (** "E1".."E9", "E15".."E22" *)
+  experiment : string;  (** "E1".."E12", "E15".."E22" *)
   algo : string;
       (** a {!Wcp_core.Detectors} name, or "adversary" (E6) *)
   n : int;
@@ -21,19 +21,23 @@ type job = {
   p_pred : float;
   seed : int;
   param : int;
-      (** groups (E3), spec width (E5), drop %% (E9), domain count
-          (E15, E18's parallel arm), delta flag 0/1 (E16), slice flag
-          0/1 (E17), restart flag 0/1 (E19), btrace-streamed flag 0/1
-          (E21), [sessions*1000 + domains*10 + mode] with mode 0
-          binary / 1 jsonl / 2 slow-client (E22), else 0 *)
+      (** groups (E3, E10), spec width (E5), 1 + the index of the
+          named workload in {!e7_workload_names} (E7; 0 for a random
+          run), drop %% (E9), index in {!e11_latencies} (E11), the
+          token's first monitor (E12), domain count (E15, E18's
+          parallel arm), delta flag 0/1 (E16), slice flag 0/1 (E17),
+          restart flag 0/1 (E19), btrace-streamed flag 0/1 (E21),
+          [sessions*1000 + domains*10 + mode] with mode 0 binary /
+          1 jsonl / 2 slow-client (E22), else 0 *)
 }
 
 type row = {
   job : job;
   outcome : string;
-      (** "detected" or "none"; for E15, "ok" iff the parallel batch
-          was byte-identical to its sequential reference, else
-          "mismatch". E17–E22 spell the detected cut out in dense
+      (** "detected" or "none"; "oracle-mismatch" when a detection
+          run's cut is not {!Wcp_core.Oracle.first_cut}; for E15, "ok"
+          iff the parallel batch was byte-identical to its sequential
+          reference, else "mismatch". E17–E22 spell the detected cut out in dense
           coordinates (e.g. ["detected {0:6 1:3}"]), so the baseline
           pins the sliced arm to the dense arm's exact cut (E17), every
           domain count to the centralized checker's cut (E18), the
@@ -72,13 +76,17 @@ val profile_name : profile -> string
 
 val jobs : profile -> job list
 
-val run_job : job -> row
-(** Run one job to completion in the calling domain. *)
+val run : ?domains:int -> ?only:(job -> bool) -> profile -> row array
+(** The jobs of the profile that satisfy [only] (default all), in
+    declaration order, fanned out with {!Wcp_util.Parallel.map}
+    ([domains = 1] runs sequentially). The deterministic columns do not
+    depend on [domains]. *)
 
-val run : ?domains:int -> profile -> row array
-(** All jobs of the profile, in declaration order, fanned out with
-    {!Wcp_util.Parallel.map} ([domains = 1] runs sequentially). The
-    deterministic columns do not depend on [domains]. *)
+val e7_workload_names : unit -> string list
+(** The named workloads E7 replays ([Workloads.all ~seed:2025L]). *)
+
+val e11_latencies : (string * Wcp_sim.Network.latency) list
+(** The latency models E11 compares, named. *)
 
 val e15_sessions : int
 (** Sessions per E15 throughput batch; sessions/sec for an E15 row is
@@ -88,7 +96,7 @@ val e15_sessions : int
     run (see [outcome]). *)
 
 val schema : string
-(** Document schema tag, ["wcp-bench/11"]; bench_json.ml keeps the
+(** Document schema tag, ["wcp-bench/12"]; bench_json.ml keeps the
     history of what each version changed. *)
 
 val emit : profile:profile -> row array -> string
@@ -113,12 +121,12 @@ val job_key : job -> string
 val compare_runs :
   ?tolerance:float -> ?subset:bool -> baseline:row array ->
   current:row array -> unit -> string list
-(** Failure lines, empty when [current] reproduces every deterministic
-    column of [baseline] and no experiment's total wall time regressed
-    by more than [tolerance] (default 0.20). A drifted job's line names
-    each differing column with both values. With [~subset:true] the
-    coverage direction flips: every [current] job must exist in
-    [baseline] (jobs the current run skipped are fine), and wall totals
-    count only the jobs the current run executed — the
-    [make bench-smoke] mode, checking a smoke run against the committed
-    full baseline. *)
+(** Failure lines, empty when [current] and [baseline] hold the same
+    jobs, [current] reproduces every deterministic column of
+    [baseline] and no experiment's total wall time regressed by more
+    than [tolerance] (default 0.20). A drifted job's line names each
+    differing column with both values; a current job the baseline lacks
+    is ["job not in baseline: …"]. With [~subset:true] the current run
+    may skip baseline jobs, and wall totals count only the jobs it
+    executed — the [make bench-smoke] mode, checking a smoke run
+    against the committed full baseline. *)

@@ -98,6 +98,24 @@ let test_compare_runs_detects_drift () =
   | [] -> Alcotest.fail "drifted metrics went unnoticed"
   | _ :: _ -> ()
 
+let test_compare_runs_unbaselined_job () =
+  (* A job the current run has and the baseline lacks is ungated, so it
+     is reported in full mode as well as in subset mode. *)
+  let results = Lazy.force smoke_seq in
+  let last = Array.length results - 1 in
+  let baseline = Array.sub results 0 last in
+  let expected =
+    "job not in baseline: " ^ Bench_json.job_key results.(last).job
+  in
+  List.iter
+    (fun subset ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reported (subset=%b)" subset)
+        true
+        (List.mem expected
+           (Bench_json.compare_runs ~subset ~baseline ~current:results ())))
+    [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* Sparse rows                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -210,6 +228,8 @@ let () =
           Alcotest.test_case "compare: self" `Quick test_compare_runs_self;
           Alcotest.test_case "compare: drift" `Quick
             test_compare_runs_detects_drift;
+          Alcotest.test_case "compare: job not in baseline" `Quick
+            test_compare_runs_unbaselined_job;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
         ] );
       ( "sparse",
