@@ -133,19 +133,20 @@ btrace-check:
 # clients. The served cut must be byte-identical to the offline
 # `wcpdetect detect` cut for every algorithm and size, and a client
 # killed mid-stream must reconnect and finish with the same cut
-# (replay from the server's ack). --sessions 9 makes the daemon count
-# its results and exit by itself, so the target cannot leak a server.
+# (replay from the server's ack). --sessions 13 (six algorithms at two
+# sizes, plus the reconnect) makes the daemon count its results and
+# exit by itself, so the target cannot leak a server.
 # The same contract runs bounded and in-process inside `make test`
 # (test_serve).
 serve-check:
 	@dune build bin/wcpdetect.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	wcp=_build/default/bin/wcpdetect.exe; \
-	$$wcp serve --listen unix:$$tmp/sock --spool $$tmp --sessions 9 --silent & \
+	$$wcp serve --listen unix:$$tmp/sock --spool $$tmp --sessions 13 --silent & \
 	srv=$$!; \
 	for n in 4 8; do \
 	  $$wcp generate -n $$n -m 12 --p-pred 0.3 --seed $$n -o $$tmp/t$$n.trace >/dev/null; \
-	  for algo in token-vc token-dd checker parallel; do \
+	  for algo in token-vc multi-token token-dd token-dd-par checker parallel; do \
 	    $$wcp detect $$tmp/t$$n.trace -a $$algo \
 	      | cut -d'|' -f1 | sed 's/[[:space:]]*$$//' > $$tmp/offline.out; \
 	    $$wcp feed $$tmp/t$$n.trace --connect unix:$$tmp/sock -a $$algo \

@@ -41,24 +41,79 @@ let output_arg =
   let doc = "Output trace file; - for stdout." in
   Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
+(* Value converters: a malformed option value is a usage error that
+   Cmdliner reports before any work starts. [checked] admits the values
+   [of_string] reads and [ok] accepts; [what] names them in the error. *)
+let checked of_string pp ~docv ~what ok =
+  Arg.conv' ~docv
+    ( (fun s ->
+        match of_string s with
+        | Some x when ok x -> Ok x
+        | _ -> Error (Printf.sprintf "%S is not %s" s what)),
+      pp )
+
+let positive_int =
+  checked int_of_string_opt Format.pp_print_int ~docv:"K"
+    ~what:"a positive integer" (fun k -> k > 0)
+
+let positive_float =
+  checked float_of_string_opt Format.pp_print_float ~docv:"T"
+    ~what:"a positive number" (fun x -> x > 0. && Float.is_finite x)
+
+let probability =
+  checked float_of_string_opt Format.pp_print_float ~docv:"P"
+    ~what:"a probability in [0,1]" (fun x -> x >= 0. && x <= 1.)
+
+(* Process ids in any order, none twice; parsed as the strictly
+   increasing array a spec wants. *)
+let procs_conv =
+  let parse s =
+    let ids = List.filter (fun t -> t <> "") (String.split_on_char ',' s) in
+    let bad t =
+      match int_of_string_opt t with Some p -> p < 0 | None -> true
+    in
+    match List.find_opt bad ids with
+    | Some t -> Error (Printf.sprintf "%S is not a process id" t)
+    | None -> (
+        let procs = List.sort compare (List.map int_of_string ids) in
+        let rec twice = function
+          | a :: (b :: _ as rest) -> if a = b then Some a else twice rest
+          | _ -> None
+        in
+        match (procs, twice procs) with
+        | [], _ -> Error "no process given"
+        | _, Some p -> Error (Printf.sprintf "process %d listed twice" p)
+        | _, None -> Ok (Array.of_list procs))
+  in
+  let print ppf procs =
+    Format.pp_print_string ppf
+      (String.concat "," (List.map string_of_int (Array.to_list procs)))
+  in
+  Arg.conv' ~docv:"PROCS" (parse, print)
+
 let procs_arg =
   let doc =
     "Comma-separated processes the WCP spans (e.g. 0,2,5). Default: all."
   in
-  Arg.(value & opt (some string) None & info [ "procs" ] ~docv:"PROCS" ~doc)
+  Arg.(value & opt (some procs_conv) None & info [ "procs" ] ~docv:"PROCS" ~doc)
 
-let parse_procs s =
-  let procs =
-    String.split_on_char ',' s
-    |> List.filter (fun t -> t <> "")
-    |> List.map int_of_string |> Array.of_list
-  in
-  Array.sort compare procs;
-  procs
+(* The spec's processes, all [n] by default. A process the trace does
+   not have is one diagnostic line, like a parse error. *)
+let procs_of ~trace ~n = function
+  | None -> Array.init n Fun.id
+  | Some procs ->
+      Array.iter
+        (fun p ->
+          if p >= n then begin
+            Printf.eprintf "wcpdetect: %s: no process %d (the trace has %d)\n"
+              trace p n;
+            exit 2
+          end)
+        procs;
+      procs
 
-let spec_of comp = function
-  | None -> Spec.all comp
-  | Some s -> Spec.make comp (parse_procs s)
+let spec_of ~trace comp procs =
+  Spec.make comp (procs_of ~trace ~n:(Computation.n comp) procs)
 
 let emit_trace out comp =
   match out with
@@ -87,15 +142,49 @@ let load_trace path =
 
 let drop_arg =
   let doc = "Per-delivery message loss probability on every link." in
-  Arg.(value & opt float 0.0 & info [ "drop" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "drop" ] ~docv:"P" ~doc)
 
 let dup_arg =
   let doc = "Per-delivery message duplication probability on every link." in
-  Arg.(value & opt float 0.0 & info [ "dup" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "dup" ] ~docv:"P" ~doc)
 
 let fault_seed_arg =
   let doc = "Seed of the fault plan's private PRNG stream." in
   Arg.(value & opt int64 0L & info [ "fault-seed" ] ~docv:"SEED" ~doc)
+
+(* ID@START or ID@START-END. Without END a crash is permanent and a
+   restart recovers 8 time units after START. *)
+let window_conv kind =
+  let parse spec =
+    let times =
+      match String.split_on_char '@' spec with
+      | [ id; times ] -> (
+          match
+            ( int_of_string_opt id,
+              List.map float_of_string_opt (String.split_on_char '-' times) )
+          with
+          | Some proc, [ Some from_t ] when kind = Fault.Restart ->
+              Some (proc, from_t, Some (from_t +. 8.0))
+          | Some proc, [ Some from_t ] -> Some (proc, from_t, None)
+          | Some proc, [ Some from_t; Some until_t ] ->
+              Some (proc, from_t, Some until_t)
+          | _ -> None)
+      | _ -> None
+    in
+    match
+      Option.map
+        (fun (proc, from_t, until_t) -> Fault.window ~kind ~proc ~from_t ?until_t ())
+        times
+    with
+    | Some w -> Ok w
+    | None -> Error (Printf.sprintf "%S: want ID@START or ID@START-END" spec)
+    | exception Invalid_argument _ ->
+        Error (Printf.sprintf "%S: want 0 <= ID and 0 <= START < END" spec)
+  in
+  let print ppf (w : Fault.window) =
+    Format.fprintf ppf "%d@@%g" w.Fault.proc w.Fault.from_t
+  in
+  Arg.conv' ~docv:"SPEC" (parse, print)
 
 let crash_arg =
   let doc =
@@ -103,25 +192,10 @@ let crash_arg =
      process p is p, its monitor is N+p). Without -END the crash is \
      permanent. Repeatable."
   in
-  Arg.(value & opt_all string [] & info [ "crash" ] ~docv:"SPEC" ~doc)
-
-let parse_crash spec =
-  let fail () =
-    failwith (Printf.sprintf "bad --crash %S (want ID@START or ID@START-END)" spec)
-  in
-  match String.split_on_char '@' spec with
-  | [ id; times ] -> (
-      let proc = try int_of_string id with _ -> fail () in
-      match String.split_on_char '-' times with
-      | [ t ] ->
-          let from_t = try float_of_string t with _ -> fail () in
-          Fault.window ~kind:Fault.Crash ~proc ~from_t ()
-      | [ a; b ] ->
-          let from_t = try float_of_string a with _ -> fail () in
-          let until_t = try float_of_string b with _ -> fail () in
-          Fault.window ~kind:Fault.Crash ~proc ~from_t ~until_t ()
-      | _ -> fail ())
-  | _ -> fail ()
+  Arg.(
+    value
+    & opt_all (window_conv Fault.Crash) []
+    & info [ "crash" ] ~docv:"SPEC" ~doc)
 
 let restart_arg =
   let doc =
@@ -130,40 +204,22 @@ let restart_arg =
      recovery). The process's in-memory state is destroyed at START and \
      rebuilt from its last checkpoint at END (default START+8). Repeatable."
   in
-  Arg.(value & opt_all string [] & info [ "restart" ] ~docv:"SPEC" ~doc)
-
-let parse_restart spec =
-  let fail () =
-    failwith
-      (Printf.sprintf "bad --restart %S (want ID@START or ID@START-END)" spec)
-  in
-  match String.split_on_char '@' spec with
-  | [ id; times ] -> (
-      let proc = try int_of_string id with _ -> fail () in
-      match String.split_on_char '-' times with
-      | [ t ] ->
-          let from_t = try float_of_string t with _ -> fail () in
-          Fault.window ~kind:Fault.Restart ~proc ~from_t
-            ~until_t:(from_t +. 8.0) ()
-      | [ a; b ] ->
-          let from_t = try float_of_string a with _ -> fail () in
-          let until_t = try float_of_string b with _ -> fail () in
-          Fault.window ~kind:Fault.Restart ~proc ~from_t ~until_t ()
-      | _ -> fail ())
-  | _ -> fail ()
+  Arg.(
+    value
+    & opt_all (window_conv Fault.Restart) []
+    & info [ "restart" ] ~docv:"SPEC" ~doc)
 
 let ckpt_every_arg =
   let doc =
     "Checkpoint each restarting monitor after every K-th handled message \
      (only meaningful with $(b,--restart); 1 = exact state transfer)."
   in
-  Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"K" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "ckpt-every" ] ~docv:"K" ~doc)
 
 let fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed =
-  let windows =
-    List.map parse_crash crashes @ List.map parse_restart restarts
+  let plan =
+    Fault.uniform ~seed:fault_seed ~drop ~dup ~windows:(crashes @ restarts) ()
   in
-  let plan = Fault.uniform ~seed:fault_seed ~drop ~dup ~windows () in
   if Fault.is_none plan then None else Some plan
 
 (* ------------------------------------------------------------------ *)
@@ -319,7 +375,7 @@ let detector_or_die what algo =
 
 let groups_arg =
   Arg.(
-    value & opt int 2
+    value & opt positive_int 2
     & info [ "groups" ] ~docv:"G" ~doc:"Groups for multi-token (§3.5).")
 
 let verbose_arg =
@@ -406,12 +462,14 @@ let metrics_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let metrics_every_arg =
+let metrics_every_arg_of every =
   let doc = "Telemetry window width in sim-time units." in
   Arg.(
     value
-    & opt float Wcp_obs.Telemetry.default_every
+    & opt every Wcp_obs.Telemetry.default_every
     & info [ "metrics-every" ] ~docv:"T" ~doc)
+
+let metrics_every_arg = metrics_every_arg_of positive_float
 
 let setup_metrics ~recorder ~metrics_out ~metrics_every =
   match metrics_out with
@@ -519,9 +577,7 @@ let detect_cmd =
           | Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e)
         in
         let procs_arr =
-          match procs with
-          | None -> Array.init (Btrace.num_processes reader) Fun.id
-          | Some s -> parse_procs s
+          procs_of ~trace ~n:(Btrace.num_processes reader) procs
         in
         try
           Some
@@ -540,7 +596,7 @@ let detect_cmd =
       end
       else begin
         let comp = load_trace trace in
-        let spec = spec_of comp procs in
+        let spec = spec_of ~trace comp procs in
         run_algo ?fault ?recorder ~slice ~ckpt_every algo ~groups ~seed comp
           spec
       end
@@ -588,7 +644,7 @@ let trace_cmd =
   let run trace algo groups procs seed out format drop dup crashes restarts
       ckpt_every fault_seed metrics_out metrics_every =
     let comp = load_trace trace in
-    let spec = spec_of comp procs in
+    let spec = spec_of ~trace comp procs in
     let fault = fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed in
     let recorder = Wcp_obs.Recorder.create () in
     let _, finish_metrics =
@@ -991,9 +1047,7 @@ let feed_cmd =
       else Computation.Stream.of_computation (load_trace trace)
     in
     let n = src.Computation.Stream.src_n in
-    let procs_arr =
-      match procs with None -> Array.init n Fun.id | Some s -> parse_procs s
-    in
+    let procs_arr = procs_of ~trace ~n procs in
     let session =
       match session with
       | Some s -> s
@@ -1044,7 +1098,10 @@ let feed_cmd =
     Term.(
       const run $ setup_logs $ trace_arg $ connect $ algo $ groups_arg
       $ procs_arg $ seed_arg $ session $ jsonl $ rate $ batch $ kill_after
-      $ retry $ metrics_out $ metrics_every_arg $ verbose)
+      $ retry $ metrics_out
+      (* 0 turns the session's telemetry off *)
+      $ metrics_every_arg_of Arg.float
+      $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                               *)
@@ -1066,11 +1123,10 @@ let chaos_cmd =
   let run trace algo groups procs seed drop dup crashes restarts ckpt_every
       fault_seed trace_out trace_format metrics_out metrics_every =
     let comp = load_trace trace in
-    let spec = spec_of comp procs in
-    let windows =
-      List.map parse_crash crashes @ List.map parse_restart restarts
+    let spec = spec_of ~trace comp procs in
+    let fault =
+      Fault.uniform ~seed:fault_seed ~drop ~dup ~windows:(crashes @ restarts) ()
     in
-    let fault = Fault.uniform ~seed:fault_seed ~drop ~dup ~windows () in
     let recorder =
       match trace_out with
       | None -> None
@@ -1133,7 +1189,7 @@ let chaos_cmd =
 let compare_cmd =
   let run trace procs seed =
     let comp = load_trace trace in
-    let spec = spec_of comp procs in
+    let spec = spec_of ~trace comp procs in
     let oracle = Oracle.first_cut comp spec in
     Format.printf "oracle: %a@.@." Detection.pp_outcome oracle;
     Format.printf "%-14s %8s %10s %9s %9s %9s %6s %6s@." "algorithm" "msgs"
@@ -1180,7 +1236,7 @@ let render_cmd =
     let comp = load_trace trace in
     let cut =
       if mark then
-        match Oracle.first_cut comp (spec_of comp procs) with
+        match Oracle.first_cut comp (spec_of ~trace comp procs) with
         | Detection.Detected cut -> Some cut
         | Detection.No_detection | Detection.Undetectable_crashed _ -> None
       else None
@@ -1230,7 +1286,7 @@ let gcp_cmd =
   in
   let run trace channel_specs procs online seed =
     let comp = load_trace trace in
-    let spec = spec_of comp procs in
+    let spec = spec_of ~trace comp procs in
     let channels = List.map (fun s -> parse_channel ~line:s s) channel_specs in
     if online then
       let r = Checker_gcp.detect ~seed ~channels comp spec in

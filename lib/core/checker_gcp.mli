@@ -4,10 +4,11 @@
     The online companion of {!Gcp.detect}: every application process —
     all [N] of them, because channel states need a full cut — streams
     GCP snapshots (full vector clock plus per-channel send/receive
-    counters) to a central checker over FIFO channels. The checker
-    advances a candidate cut by two elimination rules:
+    counters) to a central checker over FIFO channels. The checker is
+    the centralized checker's process ({!Checker_centralized.run}, over
+    full clocks) with one more elimination rule:
     - a candidate that happened before another candidate can never
-      satisfy the conjunction (the WCP rule);
+      satisfy the conjunction (the WCP rule, {!Elimination});
     - at a consistent candidate cut, a false {e counting} channel
       predicate eliminates its forced endpoint's candidate (linearity,
       see {!Gcp}).

@@ -174,7 +174,7 @@ let finish ?fault engine ~outcome ~extras =
           result (Detection.Undetectable_crashed (Fault.permanently_crashed plan))
       | _ -> failwith "detection run ended without an outcome")
 
-let with_slice ?recorder ~keep_rest comp spec ~run =
+let with_slicer ?recorder ~procs slicer ~run =
   (* The "slice" phase mark precedes the inner run's [Run_meta] — the
      slice is computed before any engine exists. Consumers treat
      leading phase marks as pre-run profile data (see Event.mli). *)
@@ -183,10 +183,9 @@ let with_slice ?recorder ~keep_rest comp spec ~run =
   | Some r ->
       Wcp_obs.Recorder.emit r ~time:0.0 ~proc:(-1)
         (Wcp_obs.Event.Phase_marked { name = "slice" }));
-  let sl = Wcp_slice.Slice.for_spec ~keep_rest comp ~procs:(Spec.procs spec) in
+  let sl = slicer () in
   let sliced = Wcp_slice.Slice.computation sl in
-  let spec' = Spec.make sliced (Spec.procs spec) in
-  let r : Detection.result = run sliced spec' in
+  let r : Detection.result = run sliced (Spec.make sliced procs) in
   {
     r with
     Detection.outcome =
@@ -194,17 +193,11 @@ let with_slice ?recorder ~keep_rest comp spec ~run =
   }
 
 let with_source ?recorder ~keep_rest src ~procs ~run =
-  (match recorder with
-  | None -> ()
-  | Some r ->
-      Wcp_obs.Recorder.emit r ~time:0.0 ~proc:(-1)
-        (Wcp_obs.Event.Phase_marked { name = "slice" }));
-  let sl = Wcp_slice.Slice.for_spec_source ~keep_rest src ~procs in
-  let sliced = Wcp_slice.Slice.computation sl in
-  let spec' = Spec.make sliced procs in
-  let r : Detection.result = run sliced spec' in
-  {
-    r with
-    Detection.outcome =
-      Detection.remap_outcome (Wcp_slice.Slice.remap_cut sl) r.Detection.outcome;
-  }
+  with_slicer ?recorder ~procs
+    (fun () -> Wcp_slice.Slice.for_spec_source ~keep_rest src ~procs)
+    ~run
+
+let with_slice ?recorder ~keep_rest comp spec ~run =
+  with_source ?recorder ~keep_rest
+    (Computation.Stream.of_computation comp)
+    ~procs:(Spec.procs spec) ~run

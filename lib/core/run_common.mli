@@ -135,21 +135,19 @@ val finish :
     permanent crash explains it (a protocol bug, surfaced loudly for
     the test suite). *)
 
-val with_slice :
+val with_slicer :
   ?recorder:Wcp_obs.Recorder.t ->
-  keep_rest:bool ->
-  Computation.t ->
-  Spec.t ->
+  procs:int array ->
+  (unit -> Wcp_slice.Slice.t) ->
   run:(Computation.t -> Spec.t -> Detection.result) ->
   Detection.result
-(** Emit the ["slice"] phase mark into [recorder] (it legally precedes
+(** The slice → detect → remap sequence every sliced detection shares:
+    emit the ["slice"] phase mark into [recorder] (it legally precedes
     the inner run's [Run_meta] — slicing happens before any engine
-    exists), slice the computation for the spec (see {!Wcp_slice.Slice.for_spec}),
-    run the detector on the slice, and remap the detected cut back to
-    dense coordinates. Every [detect ?options] entry point with
-    [options.slice = true] is this wrapper around its dense self;
-    [keep_rest] is [true] for the algorithms whose cuts span all [N]
-    processes (direct dependence, GCP). *)
+    exists), build the slice, run the detector on it with [procs] as
+    the spec, and remap the detected cut back to dense coordinates.
+    The served batch sessions call it with their finished incremental
+    builder, so a served cut is the offline cut by construction. *)
 
 val with_source :
   ?recorder:Wcp_obs.Recorder.t ->
@@ -158,9 +156,20 @@ val with_source :
   procs:int array ->
   run:(Computation.t -> Spec.t -> Detection.result) ->
   Detection.result
-(** {!with_slice} fed by a streaming cursor instead of a dense
-    computation: the slice is built directly from the source (see
-    {!Wcp_slice.Slice.for_spec_source}), so detection over an mmap'd
-    {!Wcp_trace.Btrace} reader never materialises the dense run. The
-    detected cut is remapped to dense coordinates exactly as in
-    {!with_slice}, so the two paths agree cut-for-cut. *)
+(** {!with_slicer} over {!Wcp_slice.Slice.for_spec_source}: the slice is
+    built straight from a streaming cursor, so detection over an mmap'd
+    {!Wcp_trace.Btrace} reader never materialises the dense run.
+    [keep_rest] is [true] for the algorithms whose cuts span all [N]
+    processes (direct dependence, GCP). *)
+
+val with_slice :
+  ?recorder:Wcp_obs.Recorder.t ->
+  keep_rest:bool ->
+  Computation.t ->
+  Spec.t ->
+  run:(Computation.t -> Spec.t -> Detection.result) ->
+  Detection.result
+(** {!with_source} over {!Computation.Stream.of_computation}, so the
+    dense and streamed paths agree cut-for-cut. Every
+    [detect ?options] entry point with [options.slice = true] is this
+    wrapper around its dense self. *)

@@ -25,86 +25,32 @@ let event_bytes = Frame.event_bytes
 
 (* --- online detection ---------------------------------------------- *)
 
-(* Garg–Waldecker queue elimination, Checker_centralized's fill/drive
-   on dense clocks: each predicate-true state of spec slot k is offered
-   with its vector clock as the slicer enters it, and (i, s) happened
-   before (j, t) iff vc(j, t).(i) >= s. After every drive the standing
-   candidates are pairwise concurrent and every empty slot has an empty
-   queue, so the first time all slots are filled they form the least
-   satisfying cut — held at the event that completed it. *)
-type cand = { st : int; vc : int array }
+(* Garg–Waldecker queue elimination on dense clocks: each
+   predicate-true state of spec slot k is offered with its vector clock
+   as the slicer enters it (column procs.(k) of a dense clock belongs
+   to slot k). The first time every slot is filled the standing
+   candidates form the least satisfying cut — held at the event that
+   completed it, and the core with its queued clocks is dropped. *)
+type cut = Seeking of Snapshot.vc Elimination.t | Held of int array * int
 
-type online = {
-  oprocs : int array;  (* slot -> process *)
-  slot : int array;  (* process -> slot, -1 outside the spec *)
-  mutable queues : cand Queue.t array;  (* dropped once the cut is held *)
-  cands : cand option array;
-  mutable filled : int;
-  mutable held : (int array * int) option;  (* cut states, events fed *)
-}
+type detector =
+  | Eliminating of {
+      slot : int array;  (* process -> slot, -1 outside the spec *)
+      mutable cut : cut;  (* Held: cut states, events fed *)
+    }
+  | Slicing of Detectors.t
 
-let online_create ~n procs =
-  let slot = Array.make n (-1) in
-  Array.iteri (fun k p -> slot.(p) <- k) procs;
-  let width = Array.length procs in
-  {
-    oprocs = procs;
-    slot;
-    queues = Array.init width (fun _ -> Queue.create ());
-    cands = Array.make width None;
-    filled = 0;
-    held = None;
-  }
-
-let eliminate o k =
-  o.cands.(k) <- None;
-  o.filled <- o.filled - 1
-
-(* Compare the fresh candidate against every standing one; whichever
-   side happened before the other dies. *)
-let fill o k =
-  let c = Queue.pop o.queues.(k) in
-  o.cands.(k) <- Some c;
-  o.filled <- o.filled + 1;
-  let l = ref 0 in
-  while Option.is_some o.cands.(k) && !l < Array.length o.cands do
-    (if !l <> k then
-       match o.cands.(!l) with
-       | Some other ->
-           if other.vc.(o.oprocs.(k)) >= c.st then eliminate o k
-           else if c.vc.(o.oprocs.(!l)) >= other.st then eliminate o !l
-       | None -> ());
-    incr l
-  done
-
-let rec drive o =
-  let progressed = ref false in
-  Array.iteri
-    (fun k q ->
-      if Option.is_none o.cands.(k) && not (Queue.is_empty q) then begin
-        fill o k;
-        progressed := true
-      end)
-    o.queues;
-  if !progressed then drive o
-
-let offer o k ~st ~vc ~events =
-  Queue.add { st; vc } o.queues.(k);
-  if Option.is_none o.cands.(k) then begin
-    drive o;
-    if o.filled = Array.length o.cands then begin
-      o.held <-
-        Some
-          ( Array.map
-              (function Some c -> c.st | None -> assert false)
-              o.cands,
-            events );
-      o.queues <- [||];
-      Array.fill o.cands 0 (Array.length o.cands) None
-    end
-  end
-
-type detector = Eliminating of online | Slicing of Detectors.t
+(* A candidate only moves the core if its slot was empty. *)
+let offer det k c ~events =
+  match det with
+  | Eliminating ({ cut = Seeking el; _ } as o) ->
+      let empty = Option.is_none (Elimination.candidate el k) in
+      Elimination.push el k c;
+      if empty then begin
+        ignore (Elimination.drive el : int);
+        if Elimination.full el then o.cut <- Held (Elimination.states el, events)
+      end
+  | Eliminating { cut = Held _; _ } | Slicing _ -> ()
 
 type t = {
   cfg : config;
@@ -153,6 +99,7 @@ let create (cfg : config) =
   | Ok algo ->
       if cfg.n <= 0 then Error "n must be positive"
       else if Array.length cfg.pred0 <> cfg.n then Error "pred0 length <> n"
+      else if cfg.groups < 1 then Error "groups must be positive"
       else if
         Array.length cfg.procs = 0
         || Array.exists (fun p -> p < 0 || p >= cfg.n) cfg.procs
@@ -183,15 +130,30 @@ let create (cfg : config) =
         let det =
           if not algo.Detectors.online then Slicing algo
           else
-            let o = online_create ~n:cfg.n procs in
+            let slot = Array.make cfg.n (-1) in
+            Array.iteri (fun k p -> slot.(p) <- k) procs;
+            let det =
+              Eliminating
+                {
+                  slot;
+                  cut =
+                    Seeking
+                      (Elimination.create ~columns:procs
+                         ~state:(fun (c : Snapshot.vc) -> c.state)
+                         ~clock:(fun (c : Snapshot.vc) -> c.clock));
+                }
+            in
             Array.iteri
               (fun k p ->
-                if cfg.pred0.(p) && Option.is_none o.held then
-                  offer o k ~st:1
-                    ~vc:(Slice.Incremental.clock builder ~proc:p)
+                if cfg.pred0.(p) then
+                  offer det k
+                    {
+                      Snapshot.state = 1;
+                      clock = Slice.Incremental.clock builder ~proc:p;
+                    }
                     ~events:0)
               procs;
-            Eliminating o
+            det
         in
         Ok
           {
@@ -468,10 +430,12 @@ let feed_one t ~word ~meta =
       ~dst:((word lsr 1) land Btrace.max_dst)
       ~msg:(word lsr 24) ~pred;
   match t.det with
-  | Eliminating ({ held = None; _ } as o) when pred && o.slot.(proc) >= 0 ->
-      offer o o.slot.(proc)
-        ~st:(Slice.Incremental.state t.builder ~proc)
-        ~vc:(Slice.Incremental.clock t.builder ~proc)
+  | Eliminating { slot; cut = Seeking _ } when pred && slot.(proc) >= 0 ->
+      offer t.det slot.(proc)
+        {
+          Snapshot.state = Slice.Incremental.state t.builder ~proc;
+          clock = Slice.Incremental.clock t.builder ~proc;
+        }
         ~events:(Slice.Incremental.events_fed t.builder)
   | Eliminating _ | Slicing _ -> ()
 
@@ -503,23 +467,18 @@ let completed t = locked t (fun () -> t.resultv <> None)
 
 (* --- detection ----------------------------------------------------- *)
 
-(* Batch: mirrors Run_common.with_source — slice phase mark, slice,
-   re-spec, detect, remap — so the served cut is byte-identical to the
-   offline [wcpdetect detect] rendering of the same trace. *)
+(* Batch: the offline slice → detect → remap sequence over the finished
+   builder, so the served cut is byte-identical to the offline
+   [wcpdetect detect] rendering of the same trace. *)
 let run_batch t (d : Detectors.t) ~recorder =
-  (match recorder with
-  | None -> ()
-  | Some r ->
-      Wcp_obs.Recorder.emit r ~time:0.0 ~proc:(-1)
-        (Wcp_obs.Event.Phase_marked { name = "slice" }));
-  let sl = Slice.Incremental.finish t.builder in
-  let sliced = Slice.computation sl in
-  let spec' = Spec.make sliced t.cfg.procs in
   let r =
-    d.run ?recorder ~options:Detection.default_options ~groups:t.cfg.groups
-      ~seed:t.cfg.seed sliced spec'
+    Run_common.with_slicer ?recorder ~procs:t.cfg.procs
+      (fun () -> Slice.Incremental.finish t.builder)
+      ~run:(fun sliced spec ->
+        d.run ?recorder ~options:Detection.default_options ~groups:t.cfg.groups
+          ~seed:t.cfg.seed sliced spec)
   in
-  ( Detection.remap_outcome (Slice.remap_cut sl) r.Detection.outcome,
+  ( r.Detection.outcome,
     r.Detection.events,
     Wcp_sim.Stats.total_sent r.Detection.stats,
     Wcp_sim.Stats.total_bits r.Detection.stats,
@@ -528,13 +487,13 @@ let run_batch t (d : Detectors.t) ~recorder =
 (* Online: the outcome was settled while the stream was fed; only the
    verdict is narrated, so a metrics session still gets a well-formed
    wcp-metrics/1 stream. No simulated network runs. *)
-let run_online t o ~recorder =
+let run_online t cut ~recorder =
   let procs = t.cfg.procs in
   let outcome, events =
-    match o.held with
-    | Some (states, events) ->
+    match cut with
+    | Held (states, events) ->
         (Detection.Detected (Cut.make ~procs ~states), events)
-    | None -> (Detection.No_detection, Slice.Incremental.events_fed t.builder)
+    | Seeking _ -> (Detection.No_detection, Slice.Incremental.events_fed t.builder)
   in
   (match recorder with
   | None -> ()
@@ -572,7 +531,7 @@ let detect t ~on_metrics =
         let t0 = Unix.gettimeofday () in
         match
           match t.det with
-          | Eliminating o -> run_online t o ~recorder
+          | Eliminating { cut; _ } -> run_online t cut ~recorder
           | Slicing d -> run_batch t d ~recorder
         with
         | outcome, events, msgs, bits, hops ->

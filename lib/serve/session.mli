@@ -3,12 +3,13 @@
     detector (DESIGN.md §13).
 
     The detector is online or batch, per algorithm. The online ones
-    ([checker], [parallel]) run Garg–Waldecker queue elimination on the
-    dense clock of every predicate-true spec state as it is fed, and
-    hold the cut the moment its completing event is fed; they keep no
-    slice anchors, and {!detect} only renders the held outcome. The
+    ([checker], [parallel]) offer the dense clock of every
+    predicate-true spec state, as it is fed, to {!Wcp_core.Elimination}
+    and hold the cut the moment its completing event is fed; they keep
+    no slice anchors, and {!detect} only renders the held outcome. The
     token algorithms have no honest online form: they slice as events
-    are fed and run the engine-simulated detector on the finished slice.
+    are fed and run the engine-simulated detector on the finished slice
+    ({!Wcp_core.Run_common.with_slicer}).
 
     Threading contract: {!push_batch}, {!request_finish}, {!abort},
     {!claim}, {!attach_sender} and {!detach_sender} may be called from any
@@ -43,8 +44,8 @@ type config = {
 type t
 
 val create : config -> (t, string) result
-(** Validates the config (known algorithm, procs within range) and
-    builds the incremental slicer. *)
+(** Validates the config (known algorithm, procs within range, at
+    least one group) and builds the incremental slicer. *)
 
 val id : t -> string
 
@@ -143,9 +144,9 @@ val detect : t -> on_metrics:(string -> unit) option -> Protocol.server_msg
 (** Store and return the session's terminal line: the [Error] line of a
     failed session; else the [Result]. Online algorithms render the
     cut held during {!drain} ([No_detection] if none was); batch ones
-    run the detector over the finished slice, mirroring the offline
-    [Run_common.with_source] sequence. Either way the served cut is
-    byte-identical to [wcpdetect detect] on the same trace.
+    run the detector over the finished slice with the offline
+    sequence's own code. Either way the served cut is byte-identical
+    to [wcpdetect detect] on the same trace.
     [on_metrics] receives raw wcp-metrics/1 lines (capacity-1
     recorder, bounded memory); an online session's stream narrates
     just the verdict. Worker-only; call once, on {!Ready}. *)

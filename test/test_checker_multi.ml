@@ -164,27 +164,71 @@ let test_multi_workloads () =
     (Workloads.all ~seed:999L)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-algorithm: all five find the same answer                       *)
+(* The elimination core alone                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every predicate-true state of the spec's processes is offered with
+   its dense clock, in state order within a slot but in a random
+   interleaving across slots, and the core is driven after each offer
+   (to a fixed point: a second drive fills nothing). The states
+   standing the first time every slot is filled are the oracle's first
+   cut, whatever the interleaving. *)
+let prop_elimination_interleavings =
+  qtest ~count:250 "elimination: any interleaving yields the first cut"
+    gen_with_spec (fun input ->
+      let comp, spec, seed = make input in
+      let procs = Spec.procs spec in
+      let el = Elimination.create ~columns:procs ~state:fst ~clock:snd in
+      let pending =
+        Array.map
+          (fun p ->
+            List.map
+              (fun s ->
+                ( s,
+                  Wcp_clocks.Vector_clock.to_array
+                    (Computation.vc comp (State.make ~proc:p ~index:s)) ))
+              (Computation.candidates comp p))
+          procs
+      in
+      let rng = Wcp_util.Rng.create seed in
+      let rec offer () =
+        if Elimination.full el then
+          Detection.Detected (Cut.make ~procs ~states:(Elimination.states el))
+        else
+          match
+            List.filter
+              (fun k -> pending.(k) <> [])
+              (List.init (Array.length procs) Fun.id)
+          with
+          | [] -> Detection.No_detection
+          | live ->
+              let k = List.nth live (Wcp_util.Rng.int rng (List.length live)) in
+              Elimination.push el k (List.hd pending.(k));
+              pending.(k) <- List.tl pending.(k);
+              ignore (Elimination.drive el : int);
+              if Elimination.drive el <> 0 then
+                QCheck2.Test.fail_report "drive stopped short of a fixed point";
+              offer ()
+      in
+      Detection.outcome_equal (offer ()) (Oracle.first_cut comp spec))
+
+(* ------------------------------------------------------------------ *)
+(* Cross-algorithm: every detector finds the same answer                *)
 (* ------------------------------------------------------------------ *)
 
 let prop_all_algorithms_agree =
-  qtest ~count:120 "all five detectors return the same first cut"
+  qtest ~count:120 "every detector in the table returns the first cut"
     gen_with_spec (fun input ->
       let comp, spec, seed = make input in
       let expected = Oracle.first_cut comp spec in
-      let outcomes =
-        [
-          (Token_vc.detect ~seed comp spec).outcome;
-          (Checker_centralized.detect ~seed comp spec).outcome;
-          (Token_multi.detect ~groups:(min 2 (Spec.width spec)) ~seed comp spec)
-            .outcome;
-          Detection.project_outcome spec
-            (Token_dd.detect ~seed comp spec).outcome;
-          Detection.project_outcome spec
-            (Token_dd.detect ~parallel:true ~seed comp spec).outcome;
-        ]
-      in
-      List.for_all (Detection.outcome_equal expected) outcomes)
+      List.for_all
+        (fun (d : Detectors.t) ->
+          let r =
+            d.run ~options:Detection.default_options ~groups:2 ~seed comp spec
+          in
+          Detection.outcome_equal expected
+            (Detectors.spec_outcome d spec r.Detection.outcome))
+        Detectors.all)
 
 let () =
   Alcotest.run "checker_multi"
@@ -208,5 +252,6 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_multi_edge_cases;
           Alcotest.test_case "workloads" `Quick test_multi_workloads;
         ] );
+      ("elimination", [ prop_elimination_interleavings ]);
       ("cross-algorithm", [ prop_all_algorithms_agree ]);
     ]

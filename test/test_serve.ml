@@ -300,6 +300,41 @@ let test_poisoned () =
             (String.starts_with ~prefix:"bad event stream" self_send))
         arms)
 
+(* --- a config the detector cannot run is refused at hello ---------- *)
+
+(* multi-token needs at least one group: the hello itself is answered
+   with the error, so no event is ever accepted for the session. *)
+let test_groups_refused () =
+  with_server (fun addr ->
+      let fd = Protocol.connect ~retry:5. addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let hello =
+            Protocol.Hello
+              {
+                Protocol.session = "groups-0";
+                n = 2;
+                algo = "multi-token";
+                procs = [| 0; 1 |];
+                seed = 1L;
+                groups = 0;
+                pred0 = [| false; false |];
+                frames = Protocol.Jsonl;
+                metrics_every = 0.;
+              }
+          in
+          Protocol.write_string fd (Protocol.encode_client hello ^ "\n");
+          match Protocol.read_line (Protocol.reader fd) with
+          | None -> Alcotest.fail "connection closed without an answer"
+          | Some l -> (
+              match Protocol.decode_server l ~pos:0 ~len:(String.length l) with
+              | Ok (Protocol.Error_msg { message }) ->
+                  Alcotest.(check string) "hello refused" "groups must be positive"
+                    message
+              | Ok _ -> Alcotest.failf "hello accepted: %s" l
+              | Error m -> Alcotest.failf "bad line: %s" m)))
+
 (* --- the online path, in process ------------------------------------ *)
 
 (* The computation as wcp-frame/1 event words in the client's
@@ -526,6 +561,8 @@ let () =
           Alcotest.test_case "concurrent sessions" `Quick test_concurrent;
           Alcotest.test_case "metrics stream" `Quick test_metrics;
           Alcotest.test_case "poisoned session answers" `Quick test_poisoned;
+          Alcotest.test_case "groups < 1 refused at hello" `Quick
+            test_groups_refused;
         ] );
       ( "online",
         [
