@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench tables bench-json perf-check bench-smoke check chaos-soak recovery-soak trace-check telemetry-check btrace-check serve-check examples clean
+.PHONY: all build test bench tables bench-json perf-check bench-smoke check telemetry-check btrace-check serve-check examples clean
 
 # Committed machine-readable baseline (see EXPERIMENTS.md).
 BENCH_BASELINE ?= BENCH_1.json
@@ -40,48 +40,25 @@ bench-smoke:
 	dune exec bench/main.exe -- json --smoke --seq --out _build/bench-smoke.json
 	dune exec bench/main.exe -- perf-check $(BENCH_BASELINE) _build/bench-smoke.json --subset
 
-# Everything a PR should pass: build, tests, the smoke perf gate, and
-# the CLI-level store/telemetry/service gates.
-check: build test bench-smoke trace-check btrace-check telemetry-check serve-check
+# Everything a PR should pass: build, tests (the full chaos, recovery,
+# event-schema, telemetry-stream and btrace corpora included), the
+# smoke perf gate, and the CLI-level store/telemetry/service gates.
+check: build test bench-smoke btrace-check telemetry-check serve-check
 
-# Full chaos matrix (drop rate x size x seed, token-vc + token-dd vs
-# the fault-free oracle). A bounded smoke of the same test always runs
-# inside `make test`; this target unlocks the whole sweep.
-chaos-soak:
-	WCP_CHAOS_SOAK=1 dune exec test/test_soak.exe -- test chaos
-
-# Seeded crash/restart loop: every token algorithm under a mid-run
-# monitor Restart composed with link loss, across sizes x windows x
-# seeds, each run checked against the fault-free oracle. A bounded
-# smoke of the same loop always runs inside `make test`; this target
-# unlocks the full matrix.
-recovery-soak:
-	WCP_RECOVERY_SOAK=1 dune exec test/test_recovery.exe -- test soak
-
-# Validate emitted JSONL event logs against the wcp-events/1 schema
-# (codec round-trip, run_meta header, seq/time monotonicity, Chrome
-# export well-formedness) across the full algorithm x size x seed
-# corpus. A bounded smoke of the same validation always runs inside
-# `make test`; this target unlocks the whole sweep.
-trace-check:
-	WCP_TRACE_CHECK=1 dune exec test/test_obs.exe -- test schema
-
-# Telemetry-plane gate. First unlock the full in-process
-# stream-validation corpus in test_telemetry (codec totality, window
-# invariants, in-process determinism), then prove the wcp-metrics/1
-# stream byte-deterministic ACROSS processes: the same trace, seed and
+# Telemetry-plane gate: prove the wcp-metrics/1 stream
+# byte-deterministic ACROSS processes. The same trace, seed and
 # algorithm through two separate CLI invocations must produce
 # byte-identical streams — including the per-phase alloc_bytes profile,
-# which is allocation-schedule (not wall-clock) derived. A bounded
-# smoke of the in-process half always runs inside `make test`.
+# which is allocation-schedule (not wall-clock) derived — for every
+# detector, and for every token detector under a monitor restart with
+# link loss. The in-process stream corpus runs inside `make test`.
 telemetry-check:
-	WCP_TELEMETRY_CHECK=1 dune exec test/test_telemetry.exe -- test streams
 	@dune build bin/wcpdetect.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	wcp=_build/default/bin/wcpdetect.exe; \
 	for n in 4 8; do \
 	  $$wcp generate -n $$n -m 12 --p-pred 0.3 --seed $$n -o $$tmp/t$$n.trace >/dev/null; \
-	  for algo in token-vc token-dd checker; do \
+	  for algo in token-vc multi-token token-dd token-dd-par checker parallel; do \
 	    $$wcp detect $$tmp/t$$n.trace -a $$algo --metrics-out $$tmp/a.jsonl --metrics-every 5 >/dev/null; \
 	    $$wcp detect $$tmp/t$$n.trace -a $$algo --metrics-out $$tmp/b.jsonl --metrics-every 5 >/dev/null; \
 	    cmp -s $$tmp/a.jsonl $$tmp/b.jsonl \
@@ -89,23 +66,23 @@ telemetry-check:
 	    echo "telemetry-check: $$algo n=$$n OK ($$(wc -l < $$tmp/a.jsonl) lines)"; \
 	  done; \
 	done; \
-	$$wcp chaos $$tmp/t8.trace -a token-vc --restart 4@2-10 --metrics-out $$tmp/a.jsonl >/dev/null; \
-	$$wcp chaos $$tmp/t8.trace -a token-vc --restart 4@2-10 --metrics-out $$tmp/b.jsonl >/dev/null; \
-	cmp -s $$tmp/a.jsonl $$tmp/b.jsonl \
-	  || { echo "telemetry-check: chaos/restart stream drifted"; exit 1; }; \
-	echo "telemetry-check: chaos/restart OK"
+	for algo in token-vc multi-token token-dd token-dd-par; do \
+	  $$wcp chaos $$tmp/t8.trace -a $$algo --restart 12@2-10 --drop 0.1 --metrics-out $$tmp/a.jsonl >/dev/null; \
+	  $$wcp chaos $$tmp/t8.trace -a $$algo --restart 12@2-10 --drop 0.1 --metrics-out $$tmp/b.jsonl >/dev/null; \
+	  cmp -s $$tmp/a.jsonl $$tmp/b.jsonl \
+	    || { echo "telemetry-check: $$algo chaos/restart stream drifted"; exit 1; }; \
+	  echo "telemetry-check: $$algo chaos/restart OK"; \
+	done
 
-# Binary-trace-store gate. First unlock the full streamed-vs-dense
-# agreement corpus in test_btrace (round-trips, writer/encoder byte
-# identity, corrupt fixtures), then prove the two stores interchangeable
+# Binary-trace-store gate: prove the two stores interchangeable
 # THROUGH THE CLI: text -> btrace -> text convert round-trips must be
 # byte-identical (and the btrace byte-identical to the generator's
 # direct-to-disk stream), and `detect --stream` over the mmap'd file
 # must spell out the same cut as the dense text path for every
-# algorithm. A bounded smoke of the in-process half always runs inside
+# algorithm. The in-process streamed-vs-dense corpus (round-trips,
+# writer/encoder byte identity, corrupt fixtures) runs inside
 # `make test`.
 btrace-check:
-	WCP_BTRACE_CHECK=1 dune exec test/test_btrace.exe -- test stream
 	@dune build bin/wcpdetect.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	wcp=_build/default/bin/wcpdetect.exe; \

@@ -162,8 +162,8 @@ let run_sim ?recorder job =
     else if job.experiment = "E19" && job.param <> 0 then
       (* E19 restart arm: the monitor of application process 0 (engine
          id n+0) crashes mid-protocol and comes back with its state
-         restored from the last checkpoint (ckpt_every = 1, the detect
-         default). param=0 is the fault-free reference; the spelled-out
+         restored from the last checkpoint (taken after every handled
+         message). param=0 is the fault-free reference; the spelled-out
          cut in [outcome] pins the two arms byte-identical. *)
       Some
         (Wcp_sim.Fault.make
@@ -1021,7 +1021,7 @@ let jobs = function
       (* E19: crash recovery. Per token algorithm x n, a fault-free
          reference row (param 0) and a restart row (param 1) where the
          monitor of process 0 crashes at t=2 and is restored from its
-         last checkpoint at t=10 (ckpt_every = 1). Both arms spell the
+         last checkpoint at t=10. Both arms spell the
          cut out in [outcome], so the baseline pins the recovered run's
          first cut byte-identical to the fault-free reference; the
          restart arm additionally reports replayed frames and the

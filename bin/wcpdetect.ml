@@ -189,8 +189,8 @@ let window_conv kind =
 let crash_arg =
   let doc =
     "Crash window ID@START or ID@START-END (engine process id: application \
-     process p is p, its monitor is N+p). Without -END the crash is \
-     permanent. Repeatable."
+     process p is p, its monitor is N+p, 2N the checker or leader). Without \
+     -END the crash is permanent. Repeatable."
   in
   Arg.(
     value
@@ -199,24 +199,50 @@ let crash_arg =
 
 let restart_arg =
   let doc =
-    "Crash-with-recovery window ID@START or ID@START-END (engine process id, \
-     as for $(b,--crash); restart a monitor, N+p, to exercise checkpointed \
-     recovery). The process's in-memory state is destroyed at START and \
-     rebuilt from its last checkpoint at END (default START+8). Repeatable."
+    "Crash-with-recovery window ID@START or ID@START-END: ID is the monitor \
+     N+p of a process p the detector watches. The monitor's in-memory state \
+     is destroyed at START and rebuilt at END (default START+8) from its \
+     checkpoint, taken after every message it handles. Repeatable."
   in
   Arg.(
     value
     & opt_all (window_conv Fault.Restart) []
     & info [ "restart" ] ~docv:"SPEC" ~doc)
 
-let ckpt_every_arg =
-  let doc =
-    "Checkpoint each restarting monitor after every K-th handled message \
-     (only meaningful with $(b,--restart); 1 = exact state transfer)."
+(* The fault plan, or [None] when it injects nothing. A window on a
+   process the run does not have is one diagnostic line, like a
+   --procs id the trace lacks: a --crash id above 2N (the last id is
+   the checker or leader), or a --restart id that is not the monitor
+   N+p of a process p the token detector watches (the spec's
+   processes, or all N when its cut spans them). *)
+let fault_plan ~trace ~algo ~n ~procs ~drop ~dup ~crashes ~restarts
+    ~fault_seed =
+  let refuse fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "wcpdetect: %s: %s\n" trace msg;
+        exit 2)
+      fmt
   in
-  Arg.(value & opt positive_int 1 & info [ "ckpt-every" ] ~docv:"K" ~doc)
-
-let fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed =
+  List.iter
+    (fun (w : Fault.window) ->
+      if w.Fault.proc > 2 * n then
+        refuse "--crash %d: no process %d (the run has 0..%d)" w.Fault.proc
+          w.Fault.proc (2 * n))
+    crashes;
+  (match Detectors.find algo with
+  | Ok d when d.faults ->
+      let watched = if d.keep_rest then Array.init n Fun.id else procs in
+      let monitors = Array.map (Run_common.monitor_of ~n) watched in
+      List.iter
+        (fun (w : Fault.window) ->
+          if not (Array.mem w.Fault.proc monitors) then
+            refuse "--restart %d: not a monitor of %s (its monitors are %s)"
+              w.Fault.proc algo
+              (String.concat ","
+                 (List.map string_of_int (Array.to_list monitors))))
+        restarts
+  | _ -> ());
   let plan =
     Fault.uniform ~seed:fault_seed ~drop ~dup ~windows:(crashes @ restarts) ()
   in
@@ -500,8 +526,7 @@ let setup_metrics ~recorder ~metrics_out ~metrics_every =
               path
           end )
 
-let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
-    ~seed comp spec =
+let run_algo ?fault ?recorder ?(slice = false) algo ~groups ~seed comp spec =
   let refuse_faults () =
     prerr_endline
       "wcpdetect: fault injection is only supported for the token algorithms";
@@ -511,7 +536,7 @@ let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
   | Ok d ->
       if fault <> None && not d.faults then refuse_faults ();
       let options = Detection.options ~slice () in
-      Some (d.run ?fault ?recorder ~ckpt_every ~options ~groups ~seed comp spec)
+      Some (d.run ?fault ?recorder ~options ~groups ~seed comp spec)
   | Error _ -> (
       if slice then ignore (detector_or_die "--slice" algo);
       if fault <> None then refuse_faults ();
@@ -545,9 +570,11 @@ let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
 
 let detect_cmd =
   let run trace algo groups procs seed verbose slice stream drop dup crashes
-      restarts ckpt_every fault_seed trace_out trace_format metrics_out
-      metrics_every =
-    let fault = fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed in
+      restarts fault_seed trace_out trace_format metrics_out metrics_every =
+    let plan ~n ~procs =
+      fault_plan ~trace ~algo ~n ~procs ~drop ~dup ~crashes ~restarts
+        ~fault_seed
+    in
     let recorder =
       match trace_out with
       | None -> None
@@ -576,17 +603,16 @@ let detect_cmd =
           | Btrace.Corrupt msg -> fail "btrace: %s" msg
           | Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e)
         in
-        let procs_arr =
-          procs_of ~trace ~n:(Btrace.num_processes reader) procs
-        in
+        let n = Btrace.num_processes reader in
+        let procs_arr = procs_of ~trace ~n procs in
+        let fault = plan ~n ~procs:procs_arr in
         try
           Some
             (Run_common.with_source ?recorder ~keep_rest:d.keep_rest
                (Btrace.source reader) ~procs:procs_arr
                ~run:(fun sliced spec' ->
                  match
-                   run_algo ?fault ?recorder ~ckpt_every algo ~groups ~seed
-                     sliced spec'
+                   run_algo ?fault ?recorder algo ~groups ~seed sliced spec'
                  with
                  | Some r -> r
                  | None -> assert false))
@@ -597,8 +623,8 @@ let detect_cmd =
       else begin
         let comp = load_trace trace in
         let spec = spec_of ~trace comp procs in
-        run_algo ?fault ?recorder ~slice ~ckpt_every algo ~groups ~seed comp
-          spec
+        let fault = plan ~n:(Computation.n comp) ~procs:(Spec.procs spec) in
+        run_algo ?fault ?recorder ~slice algo ~groups ~seed comp spec
       end
     in
     match result with
@@ -619,8 +645,8 @@ let detect_cmd =
     Term.(
       const (fun () -> run) $ setup_logs $ trace_arg $ algo_arg $ groups_arg
       $ procs_arg $ seed_arg $ verbose_arg $ slice_arg $ stream_arg $ drop_arg
-      $ dup_arg $ crash_arg $ restart_arg $ ckpt_every_arg $ fault_seed_arg
-      $ trace_out_arg $ trace_format_arg $ metrics_out_arg $ metrics_every_arg)
+      $ dup_arg $ crash_arg $ restart_arg $ fault_seed_arg $ trace_out_arg
+      $ trace_format_arg $ metrics_out_arg $ metrics_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -642,15 +668,18 @@ let trace_cmd =
       & info [ "f"; "format" ] ~docv:"FMT" ~doc)
   in
   let run trace algo groups procs seed out format drop dup crashes restarts
-      ckpt_every fault_seed metrics_out metrics_every =
+      fault_seed metrics_out metrics_every =
     let comp = load_trace trace in
     let spec = spec_of ~trace comp procs in
-    let fault = fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed in
+    let fault =
+      fault_plan ~trace ~algo ~n:(Computation.n comp) ~procs:(Spec.procs spec)
+        ~drop ~dup ~crashes ~restarts ~fault_seed
+    in
     let recorder = Wcp_obs.Recorder.create () in
     let _, finish_metrics =
       setup_metrics ~recorder:(Some recorder) ~metrics_out ~metrics_every
     in
-    match run_algo ?fault ~recorder ~ckpt_every algo ~groups ~seed comp spec with
+    match run_algo ?fault ~recorder algo ~groups ~seed comp spec with
     | None -> ()
     | Some r ->
         write_trace recorder ~path:out ~format;
@@ -671,8 +700,7 @@ let trace_cmd =
     Term.(
       const (fun () -> run) $ setup_logs $ trace_arg $ algo_arg $ groups_arg
       $ procs_arg $ seed_arg $ out $ format $ drop_arg $ dup_arg $ crash_arg
-      $ restart_arg $ ckpt_every_arg $ fault_seed_arg $ metrics_out_arg
-      $ metrics_every_arg)
+      $ restart_arg $ fault_seed_arg $ metrics_out_arg $ metrics_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -1120,12 +1148,13 @@ let chaos_cmd =
       & opt (enum (List.map (fun s -> (s, s)) names)) "token-vc"
       & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
-  let run trace algo groups procs seed drop dup crashes restarts ckpt_every
-      fault_seed trace_out trace_format metrics_out metrics_every =
+  let run trace algo groups procs seed drop dup crashes restarts fault_seed
+      trace_out trace_format metrics_out metrics_every =
     let comp = load_trace trace in
     let spec = spec_of ~trace comp procs in
     let fault =
-      Fault.uniform ~seed:fault_seed ~drop ~dup ~windows:(crashes @ restarts) ()
+      fault_plan ~trace ~algo ~n:(Computation.n comp) ~procs:(Spec.procs spec)
+        ~drop ~dup ~crashes ~restarts ~fault_seed
     in
     let recorder =
       match trace_out with
@@ -1137,8 +1166,8 @@ let chaos_cmd =
     in
     let d = detector_or_die "chaos" algo in
     let r =
-      d.run ~fault ?recorder ~ckpt_every ~options:Detection.default_options
-        ~groups ~seed comp spec
+      d.run ?fault ?recorder ~options:Detection.default_options ~groups ~seed
+        comp spec
     in
     (match (recorder, trace_out) with
     | Some rec_, Some path -> write_trace rec_ ~path ~format:trace_format
@@ -1165,9 +1194,9 @@ let chaos_cmd =
        output stays byte-identical to the pre-recovery pins. *)
     if restarts <> [] then
       Format.printf
-        "recovery restarts=%d ckpt-every=%d: checkpoints=%d restores=%d \
-         replayed=%d wd-stand-downs=%d@."
-        (List.length restarts) ckpt_every (Stats.checkpoints st)
+        "recovery restarts=%d: checkpoints=%d restores=%d replayed=%d \
+         wd-stand-downs=%d@."
+        (List.length restarts) (Stats.checkpoints st)
         (Stats.restores st) (Stats.replayed st)
         (Stats.wd_stand_downs st);
     finish_metrics ()
@@ -1178,9 +1207,8 @@ let chaos_cmd =
          "Run a token algorithm under a deterministic fault plan and compare           its verdict with the fault-free oracle.")
     Term.(
       const run $ trace_arg $ algo $ groups_arg $ procs_arg $ seed_arg
-      $ drop_arg $ dup_arg $ crash_arg $ restart_arg $ ckpt_every_arg
-      $ fault_seed_arg $ trace_out_arg $ trace_format_arg $ metrics_out_arg
-      $ metrics_every_arg)
+      $ drop_arg $ dup_arg $ crash_arg $ restart_arg $ fault_seed_arg
+      $ trace_out_arg $ trace_format_arg $ metrics_out_arg $ metrics_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)

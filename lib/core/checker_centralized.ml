@@ -21,12 +21,6 @@ let run ?network ?recorder ~seed ~algo ~procs ~words ~state ~clock ~decode
   Array.iteri (fun k p -> slot.(p) <- k) procs;
   let outcome = ref None in
   let snapshots_seen = ref 0 in
-  let announce ctx o =
-    if !outcome = None then begin
-      outcome := Some o;
-      Engine.stop ctx
-    end
-  in
   let el = Elimination.create ~columns:(Array.init width Fun.id) ~state ~clock in
   let finished = Array.make width false in
   let queued_words = ref 0 in
@@ -58,14 +52,12 @@ let run ?network ?recorder ~seed ~algo ~procs ~words ~state ~clock ~decode
     if Elimination.full el then begin
       if on_full ctx el then settle ctx
       else
-        let states = Elimination.states el in
-        emit ctx (Wcp_obs.Event.Detected { procs = Array.copy procs; states });
-        announce ctx (Detection.Detected (Cut.make ~procs ~states))
+        Run_common.declare outcome ctx
+          (Detection.Detected
+             (Cut.make ~procs ~states:(Elimination.states el)))
     end
-    else if Elimination.starved el ~finished then begin
-      emit ctx Wcp_obs.Event.No_detection_declared;
-      announce ctx Detection.No_detection
-    end
+    else if Elimination.starved el ~finished then
+      Run_common.declare outcome ctx Detection.No_detection
   in
   let on_message ctx ~src msg =
     let k = slot.(src) in

@@ -24,11 +24,7 @@ type dd_mon = {
   d_last_seq : int;
 }
 
-type algo =
-  | Vc of vc_mon
-  | Multi of vc_mon
-  | Dd of dd_mon
-  | Frontier of { round : int; frontier : int array }
+type algo = Vc of vc_mon | Dd of dd_mon
 
 type wd_state = {
   w_seq : int;
@@ -203,20 +199,15 @@ let edd_mon b m =
   ebool b m.d_polling;
   eint b m.d_last_seq
 
+(* Tags 1 and 3 are unassigned: the two variants keep the numbers
+   they have always had on the wire. *)
 let ealgo b = function
   | Vc m ->
       eint b 0;
       evc_mon b m
-  | Multi m ->
-      eint b 1;
-      evc_mon b m
   | Dd m ->
       eint b 2;
       edd_mon b m
-  | Frontier { round; frontier } ->
-      eint b 3;
-      eint b round;
-      eiarr b frontier
 
 let etx b (s : Messages.t Wcp_sim.Transport.tx_state) =
   eint b s.Wcp_sim.Transport.tx_dst;
@@ -415,11 +406,7 @@ let ddd_mon r =
 let dalgo r =
   match dint r with
   | 0 -> Vc (dvc_mon r)
-  | 1 -> Multi (dvc_mon r)
   | 2 -> Dd (ddd_mon r)
-  | 3 ->
-      let round = dint r in
-      Frontier { round; frontier = diarr r }
   | n -> fail (Printf.sprintf "bad algo variant %d" n)
 
 let dtx r =

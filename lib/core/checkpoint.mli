@@ -13,9 +13,10 @@
     [decode (encode t)] reproduces [t] exactly (QCheck-pinned in the
     test suite).
 
-    Capture discipline: the detectors capture {e after} every k-th
-    handled message ([--ckpt-every k], default 1). At [k = 1] a
-    restore is an exact state transfer — the checkpoint equals the
+    Capture discipline ({!Run_common.install_monitors}): a restarting
+    monitor is checkpointed before the run and {e after} every message
+    it handles, the injected start token included. A restore is
+    therefore an exact state transfer — the checkpoint equals the
     post-message state, nothing is re-executed, and the transport
     reconnect handshake replays only frames the restored state has
     genuinely not consumed. *)
@@ -25,9 +26,9 @@ open Wcp_clocks
 val version : string
 (** ["wcp-ckpt/1"]. *)
 
-(** Monitor state of the vc-token family ({!Token_vc}, and one group
-    monitor of {!Token_multi} — the group id is static configuration,
-    not state). *)
+(** Monitor state of the Fig. 3 monitor ({!Token_vc}, and so also a
+    group monitor of {!Token_multi} — the group is static
+    configuration, not state). *)
 type vc_mon = {
   v_queue : Snapshot.vc list;  (** pending candidates, FIFO order *)
   v_decoder : int array;  (** delta-snapshot channel cache *)
@@ -52,13 +53,7 @@ type dd_mon = {
   d_last_seq : int;
 }
 
-type algo =
-  | Vc of vc_mon
-  | Multi of vc_mon
-  | Dd of dd_mon
-  | Frontier of { round : int; frontier : int array }
-      (** centralized/parallel checker: merge round and the cut
-          frontier under construction *)
+type algo = Vc of vc_mon | Dd of dd_mon
 
 (** An armed watchdog lease: the watched hop, its destination, probes
     burned so far, and the exact token bytes to regenerate ([w_bits]

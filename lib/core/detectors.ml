@@ -5,7 +5,6 @@ open Wcp_trace
 type run =
   ?fault:Wcp_sim.Fault.plan ->
   ?recorder:Wcp_obs.Recorder.t ->
-  ?ckpt_every:int ->
   options:Detection.options ->
   groups:int ->
   ?domains:int ->
@@ -37,26 +36,26 @@ let all =
   in
   [
     token "token-vc"
-      (fun ?fault ?recorder ?ckpt_every ~options ~groups:_ ?domains:_ ~seed c s ->
-        Token_vc.detect ?fault ?recorder ?ckpt_every ~options ~seed c s);
+      (fun ?fault ?recorder ~options ~groups:_ ?domains:_ ~seed c s ->
+        Token_vc.detect ?fault ?recorder ~options ~seed c s);
     token "multi-token"
-      (fun ?fault ?recorder ?ckpt_every ~options ~groups ?domains:_ ~seed c s ->
-        Token_multi.detect ?fault ?recorder ?ckpt_every ~options
+      (fun ?fault ?recorder ~options ~groups ?domains:_ ~seed c s ->
+        Token_multi.detect ?fault ?recorder ~options
           ~groups:(min groups (Spec.width s))
           ~seed c s);
     token ~keep_rest:true "token-dd"
-      (fun ?fault ?recorder ?ckpt_every ~options ~groups:_ ?domains:_ ~seed c s ->
-        Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~seed c s);
+      (fun ?fault ?recorder ~options ~groups:_ ?domains:_ ~seed c s ->
+        Token_dd.detect ?fault ?recorder ~options ~seed c s);
     token ~keep_rest:true "token-dd-par"
-      (fun ?fault ?recorder ?ckpt_every ~options ~groups:_ ?domains:_ ~seed c s ->
-        Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~parallel:true
+      (fun ?fault ?recorder ~options ~groups:_ ?domains:_ ~seed c s ->
+        Token_dd.detect ?fault ?recorder ~options ~parallel:true
           ~seed c s);
     checker "checker"
-      (fun ?fault ?recorder ?ckpt_every:_ ~options ~groups:_ ?domains:_ ~seed c s ->
+      (fun ?fault ?recorder ~options ~groups:_ ?domains:_ ~seed c s ->
         no_fault "checker" fault;
         Checker_centralized.detect ?recorder ~options ~seed c s);
     checker "parallel"
-      (fun ?fault ?recorder ?ckpt_every:_ ~options ~groups:_ ?domains ~seed c s ->
+      (fun ?fault ?recorder ~options ~groups:_ ?domains ~seed c s ->
         no_fault "parallel" fault;
         Checker_parallel.detect ?recorder ~options ?domains ~seed c s);
   ]

@@ -13,7 +13,6 @@ open Wcp_trace
 type run =
   ?fault:Wcp_sim.Fault.plan ->
   ?recorder:Wcp_obs.Recorder.t ->
-  ?ckpt_every:int ->
   options:Detection.options ->
   groups:int ->
   ?domains:int ->
@@ -24,9 +23,8 @@ type run =
 (** The shared call shape. [groups] is the multi-token group count,
     clamped to the spec width; [domains] the parallel checker's
     fan-out (default {!Wcp_util.Parallel.default_domains}); both are
-    ignored by the other detectors. [fault] and [ckpt_every] are the
-    token algorithms' fault plan and checkpoint cadence (see
-    {!Token_vc.detect}).
+    ignored by the other detectors. [fault] is the token algorithms'
+    fault plan (see {!Token_vc.detect}).
     @raise Invalid_argument if [fault] is given to a detector whose
     [faults] is [false]. *)
 

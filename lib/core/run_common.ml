@@ -31,8 +31,6 @@ let emit_run_meta engine ~algo ~n ~width =
       Wcp_obs.Recorder.emit r ~time:0.0 ~proc:(-1)
         (Wcp_obs.Event.Phase_marked { name = "build" })
 
-type announce = Detection.outcome -> unit
-
 type net = {
   send : Messages.t Engine.ctx -> bits:int -> dst:int -> Messages.t -> unit;
   set_handler :
@@ -45,54 +43,120 @@ let raw_net engine =
     set_handler = (fun id h -> Engine.set_handler engine id h);
   }
 
-let reliable_net_transport ?rto ?backoff ?max_retries ?max_unacked ?recovery
-    ?on_unreachable engine =
-  let transport =
-    Transport.create ?rto ?backoff ?max_retries ?max_unacked ?recovery
-      ~inject:(fun frame -> Messages.Frame frame)
-      ~project:(function Messages.Frame f -> Some f | _ -> None)
-      ?on_unreachable engine
-  in
-  ( {
-      send =
-        (fun ctx ~bits ~dst msg -> Transport.send transport ctx ~bits ~dst msg);
-      set_handler = (fun id h -> Transport.wire transport id h);
-    },
-    transport )
+(* --- What the token detectors share -------------------------------- *)
 
-let reliable_net ?rto ?backoff ?max_retries ?on_unreachable engine =
-  fst (reliable_net_transport ?rto ?backoff ?max_retries ?on_unreachable engine)
+let declare ?(stop = true) outcome ctx o =
+  (match Engine.recorder_of ctx with
+  | None -> ()
+  | Some r -> (
+      let emit body =
+        Wcp_obs.Recorder.emit r ~time:(Engine.time ctx) ~proc:(Engine.self ctx)
+          body
+      in
+      match o with
+      | Detection.Detected cut ->
+          emit
+            (Wcp_obs.Event.Detected
+               { procs = cut.Cut.procs; states = cut.Cut.states })
+      | Detection.No_detection -> emit Wcp_obs.Event.No_detection_declared
+      | Detection.Undetectable_crashed _ -> ()));
+  if Option.is_none !outcome then begin
+    outcome := Some o;
+    if stop then Engine.stop ctx
+  end
 
-(* --- Crash-recovery wiring (Fault.Restart windows) ---------------- *)
+type monitors = {
+  start_id : int;
+  start_token : Messages.t Engine.ctx -> unit;
+}
+
+let start engine m =
+  Engine.schedule_initial engine ~proc:m.start_id ~at:0.0 m.start_token
 
 type recovery = {
   transport : Messages.t Transport.t;
   restarts : Fault.window list;
-  every : int;
 }
 
-let wire_recovery engine (r : recovery) ~owns ~capture ~restore =
-  if r.every < 1 then invalid_arg "Run_common.wire_recovery: every must be >= 1";
-  let store : (int, string) Hashtbl.t = Hashtbl.create 4 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let procs =
-    List.filter_map
-      (fun (w : Fault.window) ->
-        if owns w.Fault.proc then Some w.Fault.proc else None)
-      r.restarts
-    |> List.sort_uniq compare
+type faults = {
+  net : net;
+  watchdog : unit -> Watchdog.t option;
+  recovery : recovery option;
+}
+
+(* Under a fault plan all protocol traffic rides the reliable
+   transport, and an unreachable peer settles the run as
+   [Undetectable_crashed]. Reprobing watchdogs, retained frames and
+   checkpoints exist only under plans that actually restart someone,
+   so every other run keeps its exact pre-recovery schedule. *)
+let chaos_wiring engine ~fault ~outcome =
+  let transport recovery =
+    Transport.create ~recovery
+      ~inject:(fun frame -> Messages.Frame frame)
+      ~project:(function Messages.Frame f -> Some f | _ -> None)
+      ~on_unreachable:(fun ctx ~dst ->
+        declare outcome ctx (Detection.Undetectable_crashed [ dst ]))
+      engine
   in
-  let snap ?ctx proc =
-    let algo, watchdog = capture proc in
-    let c =
+  let reliable t =
+    {
+      send = (fun ctx ~bits ~dst msg -> Transport.send t ctx ~bits ~dst msg);
+      set_handler = (fun id h -> Transport.wire t id h);
+    }
+  in
+  match fault with
+  | None ->
+      { net = raw_net engine; watchdog = (fun () -> None); recovery = None }
+  | Some f when Fault.has_restarts f ->
+      let t = transport true in
       {
-        Checkpoint.proc;
-        algo;
-        transport = Transport.export_state r.transport ~proc;
-        watchdog;
+        net = reliable t;
+        watchdog = (fun () -> Some (Watchdog.create ~reprobe:true ()));
+        recovery = Some { transport = t; restarts = Fault.restarts f };
       }
+  | Some _ ->
+      {
+        net = reliable (transport false);
+        watchdog = (fun () -> Some (Watchdog.create ()));
+        recovery = None;
+      }
+
+(* The armed watchdog lease a monitor checkpoints: only the watch it
+   armed itself (a shared watchdog belongs to the last forwarder). *)
+let lease wd ~proc =
+  match wd with
+  | Some wd when Watchdog.seq wd > 0 && Watchdog.owner wd = proc -> (
+      match Watchdog.token wd with
+      | Some (w_payload, w_bits) ->
+          Some
+            {
+              Checkpoint.w_seq = Watchdog.seq wd;
+              w_dst = Watchdog.dst wd;
+              w_probes = Watchdog.probes wd;
+              w_bits;
+              w_payload;
+            }
+      | None -> None)
+  | _ -> None
+
+(* Checkpoint every restarting monitor after each handled message, and
+   rebuild it from the last checkpoint at each window's end. *)
+let recoverable engine net (r : recovery) cells ~id ~watchdog ~capture
+    ~restore =
+  let cell_of = Hashtbl.create 8 in
+  Array.iter (fun m -> Hashtbl.replace cell_of (id m) m) cells;
+  let store : (int, string) Hashtbl.t = Hashtbl.create 4 in
+  let snap ?ctx m =
+    let proc = id m in
+    let s =
+      Checkpoint.encode
+        {
+          Checkpoint.proc;
+          algo = capture m;
+          transport = Transport.export_state r.transport ~proc;
+          watchdog = lease (watchdog m) ~proc;
+        }
     in
-    let s = Checkpoint.encode c in
     Hashtbl.replace store proc s;
     match ctx with
     | None -> ()
@@ -104,47 +168,91 @@ let wire_recovery engine (r : recovery) ~owns ~capture ~restore =
             Wcp_obs.Recorder.emit rc ~time:(Engine.time ctx) ~proc
               (Wcp_obs.Event.Checkpoint_taken { bytes = String.length s }))
   in
-  (* Seed every restarting proc with its pre-run state, so a window
+  let reload ctx m s =
+    let proc = id m in
+    let c = Checkpoint.decode s in
+    restore m c.Checkpoint.algo;
+    (match (watchdog m, c.Checkpoint.watchdog) with
+    | Some wd, Some w when w.Checkpoint.w_seq >= Watchdog.seq wd ->
+        (* Latest watch wins: a live watch with a newer hop means
+           another monitor took over after this checkpoint. The resend
+           closure is rebuilt from the checkpointed token bytes. *)
+        let dst = w.Checkpoint.w_dst and bits = w.Checkpoint.w_bits in
+        let payload = w.Checkpoint.w_payload in
+        Watchdog.restore wd ctx ~token:(payload, bits) ~seq:w.Checkpoint.w_seq
+          ~dst ~probes:w.Checkpoint.w_probes
+          ~resend:(fun ctx ->
+            net.send ctx ~bits ~dst (Messages.deep_copy payload))
+          ()
+    | _ -> ());
+    Transport.restore_state r.transport ~proc c.Checkpoint.transport;
+    Stats.note_restore (Engine.stats_of ctx);
+    (match Engine.recorder_of ctx with
+    | None -> ()
+    | Some rc ->
+        Wcp_obs.Recorder.emit rc ~time:(Engine.time ctx) ~proc
+          (Wcp_obs.Event.Restored { bytes = String.length s });
+        Wcp_obs.Recorder.emit rc ~time:(Engine.time ctx) ~proc:(-1)
+          (Wcp_obs.Event.Phase_marked { name = "recovery" }));
+    Transport.reconnect r.transport ctx ~proc
+  in
+  (* Seed every restarting monitor with its pre-run state, so a window
      that opens before the first handled message still restores. *)
-  List.iter (fun p -> snap p) procs;
+  List.filter_map
+    (fun (w : Fault.window) -> Hashtbl.find_opt cell_of w.Fault.proc)
+    r.restarts
+  |> List.sort_uniq (fun a b -> compare (id a) (id b))
+  |> List.iter (fun m -> snap m);
   (* One restore timer per window, at its recovery time [until_t]. The
      timer was scheduled at setup, so at [until_t] it runs before any
      message the window deferred to the same instant (insertion
      order), and the deferred deliveries find the restored state. *)
   List.iter
     (fun (w : Fault.window) ->
-      if owns w.Fault.proc then
-        match w.Fault.until_t with
-        | None -> ()
-        | Some at ->
-            Engine.schedule_initial engine ~proc:w.Fault.proc ~at (fun ctx ->
-                match Hashtbl.find_opt store w.Fault.proc with
-                | None -> ()
-                | Some s ->
-                    let c = Checkpoint.decode s in
-                    restore ctx c;
-                    Transport.restore_state r.transport ~proc:w.Fault.proc
-                      c.Checkpoint.transport;
-                    Stats.note_restore (Engine.stats_of ctx);
-                    (match Engine.recorder_of ctx with
-                    | None -> ()
-                    | Some rc ->
-                        Wcp_obs.Recorder.emit rc ~time:(Engine.time ctx)
-                          ~proc:w.Fault.proc
-                          (Wcp_obs.Event.Restored { bytes = String.length s });
-                        Wcp_obs.Recorder.emit rc ~time:(Engine.time ctx)
-                          ~proc:(-1)
-                          (Wcp_obs.Event.Phase_marked { name = "recovery" }));
-                    Transport.reconnect r.transport ctx ~proc:w.Fault.proc))
+      match (Hashtbl.find_opt cell_of w.Fault.proc, w.Fault.until_t) with
+      | Some m, Some at ->
+          Engine.schedule_initial engine ~proc:w.Fault.proc ~at (fun ctx ->
+              Option.iter (reload ctx m) (Hashtbl.find_opt store w.Fault.proc))
+      | _ -> ())
     r.restarts;
-  fun proc ctx ->
-    if Hashtbl.mem store proc then begin
-      let k =
-        (match Hashtbl.find_opt counts proc with Some k -> k | None -> 0) + 1
+  fun m ctx -> if Hashtbl.mem store (id m) then snap ~ctx m
+
+let install_monitors engine net ?recovery cells ~id ~watchdog ~capture
+    ~restore handle =
+  match recovery with
+  | None ->
+      Array.iter (fun m -> net.set_handler (id m) (handle m)) cells;
+      fun _ _ -> ()
+  | Some r ->
+      let checkpoint =
+        recoverable engine net r cells ~id ~watchdog ~capture ~restore
       in
-      Hashtbl.replace counts proc k;
-      if k mod r.every = 0 then snap ~ctx proc
-    end
+      Array.iter
+        (fun m ->
+          net.set_handler (id m) (fun ctx ~src msg ->
+              handle m ctx ~src msg;
+              checkpoint m ctx))
+        cells;
+      checkpoint
+
+let watchdog_message ?watchdog ctx ~src ~last_seq ~holding = function
+  | Messages.Wd_probe { seq } ->
+      let reply =
+        Messages.Wd_reply
+          {
+            seq;
+            received = seq <= last_seq;
+            holding = holding && seq = last_seq;
+          }
+      in
+      Engine.send ctx ~bits:(Messages.bits ~spec_width:1 reply) ~dst:src reply
+  | Messages.Wd_reply { seq; received; holding } ->
+      Option.iter
+        (fun wd -> Watchdog.on_reply wd ctx ~seq ~received ~holding)
+        watchdog
+  | msg ->
+      Format.kasprintf failwith "unexpected %a at monitor %d" Messages.pp msg
+        (Engine.self ctx)
 
 let finish ?fault engine ~outcome ~extras =
   (match Engine.recorder engine with
@@ -173,6 +281,22 @@ let finish ?fault engine ~outcome ~extras =
       | Some plan when Fault.permanently_crashed plan <> [] ->
           result (Detection.Undetectable_crashed (Fault.permanently_crashed plan))
       | _ -> failwith "detection run ended without an outcome")
+
+(* The offline token run: the monitors are wired before the
+   application replay schedules its events, and the token (or the
+   multi-token leader) starts after both. *)
+let replay ?network ?fault ?recorder ~seed ~algo ~width comp ~monitors ~app =
+  let fault =
+    match fault with Some p when not (Fault.is_none p) -> Some p | _ -> None
+  in
+  let engine = make_engine ?network ?fault ?recorder ~seed comp in
+  emit_run_meta engine ~algo ~n:(Computation.n comp) ~width;
+  let outcome = ref None in
+  let faults = chaos_wiring engine ~fault ~outcome in
+  let m = monitors engine faults ~outcome in
+  app engine faults.net;
+  start engine m;
+  finish ?fault engine ~outcome ~extras:Detection.no_extras
 
 let with_slicer ?recorder ~procs slicer ~run =
   (* The "slice" phase mark precedes the inner run's [Run_meta] — the

@@ -10,7 +10,13 @@
     The default network gives every link an independent uniform latency
     and makes exactly the application→monitor and application→checker
     links FIFO, as required by §3.1; monitor-to-monitor traffic may be
-    reordered freely. *)
+    reordered freely.
+
+    Every piece the token detectors would otherwise each repeat lives
+    here once: settling the verdict, the fault-mode wiring, monitor
+    handlers with checkpointed crash recovery, the watchdog's probe
+    answer, and the offline replay run, whose [app] argument is the
+    one place the application side plugs in. *)
 
 open Wcp_trace
 open Wcp_sim
@@ -45,10 +51,6 @@ val emit_run_meta :
     profile — if the engine has a recorder (no-op otherwise). Every
     detector calls this once before wiring. *)
 
-type announce = Detection.outcome -> unit
-(** Callback a monitor invokes exactly once to report the result and
-    halt the simulation. *)
-
 type net = {
   send : Messages.t Engine.ctx -> bits:int -> dst:int -> Messages.t -> unit;
   set_handler :
@@ -62,63 +64,111 @@ val raw_net : Messages.t Engine.t -> net
 (** Plain {!Engine.send} / {!Engine.set_handler}; byte-for-byte the
     pre-robustness behaviour, used whenever no fault plan is active. *)
 
-val reliable_net :
-  ?rto:float ->
-  ?backoff:float ->
-  ?max_retries:int ->
-  ?on_unreachable:(Messages.t Engine.ctx -> dst:int -> unit) ->
-  Messages.t Engine.t ->
-  net
-(** All traffic rides one {!Wcp_sim.Transport} instance whose frames
-    are embedded as {!Messages.Frame}: exactly-once FIFO delivery per
-    link over a faulty network. [on_unreachable] fires when some flow
-    exhausts its retries (a permanently crashed peer) — detectors use
-    it to announce {!Detection.Undetectable_crashed}. *)
+(** {2 What the token detectors share} *)
 
-val reliable_net_transport :
-  ?rto:float ->
-  ?backoff:float ->
-  ?max_retries:int ->
-  ?max_unacked:int ->
-  ?recovery:bool ->
-  ?on_unreachable:(Messages.t Engine.ctx -> dst:int -> unit) ->
-  Messages.t Engine.t ->
-  net * Messages.t Wcp_sim.Transport.t
-(** {!reliable_net}, but also hands back the transport itself so the
-    crash-recovery layer can checkpoint flow state
-    ({!Wcp_sim.Transport.export_state}) and drive the reconnect
-    handshake after a [Fault.Restart]. [recovery] and [max_unacked] are
-    passed through to {!Wcp_sim.Transport.create}. *)
+val declare :
+  ?stop:bool ->
+  Detection.outcome option ref ->
+  Messages.t Engine.ctx ->
+  Detection.outcome ->
+  unit
+(** Narrate a [Detected] or [No_detection] verdict to the engine's
+    recorder, store the verdict in [outcome] unless one is already
+    there and, when it is stored, halt the engine unless [stop] is
+    [false] (live monitors let the application run on). *)
 
-(** {2 Crash-recovery wiring} *)
+type monitors = {
+  start_id : int;  (** engine id that holds the first token *)
+  start_token : Messages.t Engine.ctx -> unit;
+}
+
+val start : Messages.t Engine.t -> monitors -> unit
+(** Schedule [start_token] at [start_id] at time 0. *)
 
 type recovery = {
   transport : Messages.t Wcp_sim.Transport.t;
-      (** the run's reliable transport, created with [~recovery:true] *)
+      (** the run's reliable transport, created in recovery mode *)
   restarts : Fault.window list;  (** the plan's [Restart] windows *)
-  every : int;  (** capture after every [every]-th handled message *)
 }
 
-val wire_recovery :
+type faults = {
+  net : net;
+  watchdog : unit -> Watchdog.t option;
+      (** a fresh token watchdog, or [None] without a fault plan *)
+  recovery : recovery option;
+}
+
+val chaos_wiring :
   Messages.t Engine.t ->
-  recovery ->
-  owns:(int -> bool) ->
-  capture:(int -> Checkpoint.algo * Checkpoint.wd_state option) ->
-  restore:(Messages.t Engine.ctx -> Checkpoint.t -> unit) ->
-  (int -> Messages.t Engine.ctx -> unit)
-(** Wire checkpoint capture and deterministic restore for every
-    [Restart] window whose proc satisfies [owns] (the detector's own
-    monitor ids): seed an initial checkpoint per restarting proc,
-    schedule a restore timer at each window's [until_t] (decode the
-    stored checkpoint, hand it to [restore] for the algorithm and
-    watchdog state, rebuild the transport flows, then run the
-    {!Wcp_sim.Transport.reconnect} handshake), and return the
-    capture hook the detector must call after {e every} handled
-    monitor message — it encodes a fresh checkpoint every
-    [every]-th message for restarting procs and no-ops for others.
-    Checkpoints cross the capture/restore boundary only as encoded
-    strings, so the codec itself is on the recovery path.
-    @raise Invalid_argument if [every < 1]. *)
+  fault:Fault.plan option ->
+  outcome:Detection.outcome option ref ->
+  faults
+(** The fault-mode wiring of a token run. No plan: {!raw_net}, no
+    watchdogs, no recovery. A plan: every message rides one
+    {!Wcp_sim.Transport} (exactly-once FIFO per link, frames embedded
+    as {!Messages.Frame}), and a peer that exhausts its retries
+    settles [outcome] as [Undetectable_crashed]. A plan with
+    [Fault.Restart] windows also retains acked frames for replay,
+    makes the watchdogs reprobe silent peers, and returns the
+    {!recovery} bundle; other plans keep their pre-recovery
+    schedules. *)
+
+val install_monitors :
+  Messages.t Engine.t ->
+  net ->
+  ?recovery:recovery ->
+  'm array ->
+  id:('m -> int) ->
+  watchdog:('m -> Watchdog.t option) ->
+  capture:('m -> Checkpoint.algo) ->
+  restore:('m -> Checkpoint.algo -> unit) ->
+  ('m -> Messages.t Engine.ctx -> src:int -> Messages.t -> unit) ->
+  'm -> Messages.t Engine.ctx -> unit
+(** Install [handle m] as the handler of each monitor [m] at engine id
+    [id m]. With [recovery], every monitor in a [Restart] window is
+    checkpointed before the run and after {e every} handled message:
+    its [capture], its transport flows and the watchdog lease it armed
+    itself. At the window's end it is rebuilt from the last
+    checkpoint: [restore], the lease (unless a newer watch is live),
+    the flows, then the {!Wcp_sim.Transport.reconnect} handshake.
+    Checkpoints cross that boundary only as encoded strings, so the
+    codec itself is on the recovery path. The returned function takes
+    a checkpoint now (a no-op without [recovery] or for a monitor that
+    never restarts); call it after injecting the start token. *)
+
+val watchdog_message :
+  ?watchdog:Watchdog.t ->
+  Messages.t Engine.ctx ->
+  src:int ->
+  last_seq:int ->
+  holding:bool ->
+  Messages.t ->
+  unit
+(** The watchdog half of a monitor's handler. A [Wd_probe] for hop
+    [seq] is answered with whether this monitor accepted that hop
+    ([seq <= last_seq]) and whether it still holds it ([holding], for
+    [seq = last_seq]); a [Wd_reply] goes to [watchdog].
+    @raise Failure on any other message. *)
+
+val replay :
+  ?network:Network.t ->
+  ?fault:Fault.plan ->
+  ?recorder:Wcp_obs.Recorder.t ->
+  seed:int64 ->
+  algo:string ->
+  width:int ->
+  Computation.t ->
+  monitors:
+    (Messages.t Engine.t ->
+    faults ->
+    outcome:Detection.outcome option ref ->
+    monitors) ->
+  app:(Messages.t Engine.t -> net -> unit) ->
+  Detection.result
+(** One offline token run: the engine, the [Run_meta] prologue, the
+    fault wiring, then [monitors], then [app] (the application side —
+    {!App_replay} of the recorded computation), then the start token,
+    then {!finish}. A [Fault.none] plan is no plan. *)
 
 val finish :
   ?fault:Fault.plan ->

@@ -27,10 +27,7 @@ type mon = {
 
 let snapshot_words (s : Snapshot.dd) = 1 + (2 * List.length s.deps)
 
-type monitors = {
-  start_id : int;
-  start_token : Messages.t Wcp_sim.Engine.ctx -> unit;
-}
+type monitors = Run_common.monitors
 
 let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
     ?(stop = true) ?(start_at = 0) ?(delta = true) ~outcome ~hops ~polls
@@ -42,12 +39,6 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
   if start_at < 0 || start_at >= n then
     invalid_arg "Token_dd.install: start_at out of range";
   let snapshots_seen = snapshots in
-  let announce ctx o =
-    if Option.is_none !outcome then begin
-      outcome := Some o;
-      if stop then Engine.stop ctx
-    end
-  in
   let bits = Messages.bits ~spec_width:1 in
   let monitor_id p = Run_common.monitor_of ~n p in
   let monitors =
@@ -123,18 +114,11 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
                 m.tentative <- Some cand.Snapshot.state;
                 drive ctx m
             | None ->
-                if m.app_done then begin
-                  (* This process can never produce a fresh candidate:
-                     no cut at or before the end of the run satisfies
-                     the WCP. *)
-                  (match recorder with
-                  | None -> ()
-                  | Some r ->
-                      Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
-                        ~proc:(Engine.self ctx)
-                        Wcp_obs.Event.No_detection_declared);
-                  announce ctx Detection.No_detection
-                end)
+                (* This process can never produce a fresh candidate:
+                   no cut at or before the end of the run satisfies the
+                   WCP. *)
+                if m.app_done then
+                  Run_common.declare ~stop outcome ctx Detection.No_detection)
 
   and commit_and_pass ctx m =
     (match m.tentative with Some c -> m.g <- c | None -> assert false);
@@ -161,15 +145,8 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
         Log.info (fun f ->
             f "t=%.3f WCP detected; chain empty at monitor %d" (Engine.time ctx)
               m.proc);
-        (match recorder with
-        | None -> ()
-        | Some r ->
-            let cut = detected_cut () in
-            Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
-              ~proc:(Engine.self ctx)
-              (Wcp_obs.Event.Detected
-                 { procs = cut.Cut.procs; states = cut.Cut.states }));
-        announce ctx (Detection.Detected (detected_cut ()))
+        Run_common.declare ~stop outcome ctx
+          (Detection.Detected (detected_cut ()))
     | Some j ->
         m.next_red <- None;
         incr hops;
@@ -273,127 +250,59 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
           m.next_red <- Some (src - n)
         end;
         drive ctx m
-    | Messages.Wd_probe { seq } ->
-        let reply =
-          Messages.Wd_reply
-            {
-              seq;
-              received = seq <= m.last_token_seq;
-              holding = m.has_token && seq = m.last_token_seq;
-            }
-        in
-        Engine.send ctx ~bits:(bits reply) ~dst:src reply
-    | Messages.Wd_reply { seq; received; holding } -> (
-        match watchdog with
-        | Some wd -> Watchdog.on_reply wd ctx ~seq ~received ~holding
-        | None -> ())
-    | _ -> failwith "Token_dd: unexpected message at monitor"
+    | msg ->
+        Run_common.watchdog_message ?watchdog ctx ~src
+          ~last_seq:m.last_token_seq ~holding:m.has_token msg
   in
-  (* Crash recovery: see Token_vc — same capture-after-each-message /
-     restore-at-window-end scheme, over the §4 monitor state. *)
-  let maybe_capture =
-    match recovery with
-    | None -> None
-    | Some r ->
-        let cell_of : (int, mon) Hashtbl.t = Hashtbl.create 8 in
-        Array.iter
-          (fun m -> Hashtbl.replace cell_of (monitor_id m.proc) m)
-          monitors;
-        let capture proc =
-          let m = Hashtbl.find cell_of proc in
-          let algo =
-            Checkpoint.Dd
-              {
-                Checkpoint.d_queue = List.of_seq (Queue.to_seq m.queue);
-                d_app_done = m.app_done;
-                d_color = m.color;
-                d_g = m.g;
-                d_next_red = m.next_red;
-                d_has_token = m.has_token;
-                d_tentative = m.tentative;
-                d_deps = m.deps_pending;
-                d_polling = m.polling;
-                d_last_seq = m.last_token_seq;
-              }
-          in
-          let wd_state =
-            match watchdog with
-            | Some wd when Watchdog.seq wd > 0 && Watchdog.owner wd = proc -> (
-                match Watchdog.token wd with
-                | Some (payload, w_bits) ->
-                    Some
-                      {
-                        Checkpoint.w_seq = Watchdog.seq wd;
-                        w_dst = Watchdog.dst wd;
-                        w_probes = Watchdog.probes wd;
-                        w_bits;
-                        w_payload = payload;
-                      }
-                | None -> None)
-            | _ -> None
-          in
-          (algo, wd_state)
-        in
-        let restore ctx (c : Checkpoint.t) =
-          let m = Hashtbl.find cell_of c.Checkpoint.proc in
-          (match c.Checkpoint.algo with
-          | Checkpoint.Dd s ->
-              Queue.clear m.queue;
-              List.iter (fun x -> Queue.add x m.queue) s.Checkpoint.d_queue;
-              m.queue_words <-
-                Queue.fold (fun acc x -> acc + snapshot_words x) 0 m.queue;
-              m.app_done <- s.Checkpoint.d_app_done;
-              m.color <- s.Checkpoint.d_color;
-              m.g <- s.Checkpoint.d_g;
-              m.next_red <- s.Checkpoint.d_next_red;
-              m.has_token <- s.Checkpoint.d_has_token;
-              m.tentative <- s.Checkpoint.d_tentative;
-              m.deps_pending <- s.Checkpoint.d_deps;
-              m.polling <- s.Checkpoint.d_polling;
-              m.last_token_seq <- s.Checkpoint.d_last_seq
-          | _ -> failwith "Token_dd: checkpoint algorithm mismatch");
-          match (watchdog, c.Checkpoint.watchdog) with
-          | Some wd, Some w when w.Checkpoint.w_seq >= Watchdog.seq wd ->
-              let dst = w.Checkpoint.w_dst and bits = w.Checkpoint.w_bits in
-              let payload = w.Checkpoint.w_payload in
-              Watchdog.restore wd ctx ~token:(payload, bits)
-                ~seq:w.Checkpoint.w_seq ~dst ~probes:w.Checkpoint.w_probes
-                ~resend:(fun ctx -> net.Run_common.send ctx ~bits ~dst payload)
-                ()
-          | _ -> ()
-        in
-        Some
-          (Run_common.wire_recovery engine r
-             ~owns:(Hashtbl.mem cell_of)
-             ~capture ~restore)
+  let checkpoint =
+    Run_common.install_monitors engine net ?recovery monitors
+      ~id:(fun m -> monitor_id m.proc)
+      ~watchdog:(fun _ -> watchdog)
+      ~capture:(fun m ->
+        Checkpoint.Dd
+          {
+            Checkpoint.d_queue = List.of_seq (Queue.to_seq m.queue);
+            d_app_done = m.app_done;
+            d_color = m.color;
+            d_g = m.g;
+            d_next_red = m.next_red;
+            d_has_token = m.has_token;
+            d_tentative = m.tentative;
+            d_deps = m.deps_pending;
+            d_polling = m.polling;
+            d_last_seq = m.last_token_seq;
+          })
+      ~restore:(fun m -> function
+        | Checkpoint.Dd s ->
+            Queue.clear m.queue;
+            List.iter (fun x -> Queue.add x m.queue) s.Checkpoint.d_queue;
+            m.queue_words <-
+              Queue.fold (fun acc x -> acc + snapshot_words x) 0 m.queue;
+            m.app_done <- s.Checkpoint.d_app_done;
+            m.color <- s.Checkpoint.d_color;
+            m.g <- s.Checkpoint.d_g;
+            m.next_red <- s.Checkpoint.d_next_red;
+            m.has_token <- s.Checkpoint.d_has_token;
+            m.tentative <- s.Checkpoint.d_tentative;
+            m.deps_pending <- s.Checkpoint.d_deps;
+            m.polling <- s.Checkpoint.d_polling;
+            m.last_token_seq <- s.Checkpoint.d_last_seq
+        | Checkpoint.Vc _ -> failwith "Token_dd: checkpoint algorithm mismatch")
+      on_message
   in
-  Array.iter
-    (fun m ->
-      let id = monitor_id m.proc in
-      match maybe_capture with
-      | None -> net.Run_common.set_handler id (on_message m)
-      | Some cap ->
-          net.Run_common.set_handler id (fun ctx ~src msg ->
-              on_message m ctx ~src msg;
-              cap id ctx))
-    monitors;
   {
-    start_id = monitor_id start_at;
+    Run_common.start_id = monitor_id start_at;
     start_token =
       (fun ctx ->
         (* The token starts at the chain head. *)
         monitors.(start_at).has_token <- true;
         drive ctx monitors.(start_at);
-        (* Checkpoint the injected token (see Token_vc.install): a
-           restart must not restore a token-less seed. *)
-        match maybe_capture with
-        | None -> ()
-        | Some cap -> cap (monitor_id start_at) ctx);
+        (* Checkpoint the injected token: a restart must not restore a
+           token-less seed. *)
+        checkpoint monitors.(start_at) ctx);
   }
 
-let start engine monitors =
-  Engine.schedule_initial engine ~proc:monitors.start_id ~at:0.0
-    monitors.start_token
+let start = Run_common.start
 
 let check_invariants comp ~g ~color ~next_red ~next =
   let n = Computation.n comp in
@@ -461,25 +370,16 @@ let check_invariants comp ~g ~color ~next_red ~next =
   done
 
 let rec detect ?network ?fault ?recorder ?(parallel = false)
-    ?(invariant_checks = false) ?start_at ?(ckpt_every = 1)
-    ?(options = Detection.default_options) ~seed comp spec =
+    ?(invariant_checks = false) ?start_at ?(options = Detection.default_options)
+    ~seed comp spec =
   if options.Detection.slice then
     Run_common.with_slice ?recorder ~keep_rest:true comp spec ~run:(fun sliced spec' ->
         detect ?network ?fault ?recorder ~parallel ~invariant_checks ?start_at
-          ~ckpt_every
           ~options:{ options with Detection.slice = false }
           ~seed sliced spec')
   else
   let { Detection.gated; delta; slice = _ } = options in
   let n = Computation.n comp in
-  let fault =
-    match fault with Some p when not (Fault.is_none p) -> Some p | _ -> None
-  in
-  let engine = Run_common.make_engine ?network ?fault ?recorder ~seed comp in
-  Run_common.emit_run_meta engine
-    ~algo:(if parallel then "token-dd-par" else "token-dd")
-    ~n ~width:n;
-  let outcome = ref None in
   let hops = ref 0 in
   let polls = ref 0 in
   let snapshots = ref 0 in
@@ -490,27 +390,27 @@ let rec detect ?network ?fault ?recorder ?(parallel = false)
     if invariant_checks && not parallel then Some (check_invariants comp)
     else None
   in
-  let net, watchdog, recovery =
-    Token_vc.chaos_wiring engine ~fault ~outcome ~ckpt_every
-  in
-  let monitors =
-    install engine ~n_app:n ~parallel ?net ?watchdog ?check ?recovery ?start_at
-      ~delta ~outcome ~hops ~polls ~snapshots ()
-  in
-  (* Application side: §4.1 snapshots, from every process. *)
-  App_replay.install engine comp ?net
-    ~snapshots:(fun p ->
-      List.map
-        (fun (s : Snapshot.dd) ->
-          ( (s.state : int),
-            if delta then Wire.encode_dd ~state:s.state s.deps
-            else Messages.Snap_dd s ))
-        (Snapshot.dd_stream ~gated comp spec ~proc:p))
-    ~snapshot_dst:(fun p -> Some (Run_common.monitor_of ~n p))
-    ~spec_width:1 ();
-  start engine monitors;
   let result =
-    Run_common.finish ?fault engine ~outcome ~extras:Detection.no_extras
+    Run_common.replay ?network ?fault ?recorder ~seed
+      ~algo:(if parallel then "token-dd-par" else "token-dd")
+      ~width:n comp
+      ~monitors:(fun engine w ~outcome ->
+        install engine ~n_app:n ~parallel ~net:w.Run_common.net
+          ?watchdog:(w.Run_common.watchdog ()) ?check
+          ?recovery:w.Run_common.recovery ?start_at ~delta ~outcome ~hops
+          ~polls ~snapshots ())
+      ~app:(fun engine net ->
+        (* Application side: §4.1 snapshots, from every process. *)
+        App_replay.install engine comp ~net
+          ~snapshots:(fun p ->
+            List.map
+              (fun (s : Snapshot.dd) ->
+                ( (s.state : int),
+                  if delta then Wire.encode_dd ~state:s.state s.deps
+                  else Messages.Snap_dd s ))
+              (Snapshot.dd_stream ~gated comp spec ~proc:p))
+          ~snapshot_dst:(fun p -> Some (Run_common.monitor_of ~n p))
+          ~spec_width:1 ())
   in
   {
     result with

@@ -35,7 +35,12 @@
     Erratum implemented: Fig. 4 never assigns [G := candidate.clock]
     when accepting a candidate, but Table 1, Lemma 4.2 and Theorem 4.3
     all require [M_i.G] to be the accepted candidate's clock; we
-    perform the assignment (see DESIGN.md §3). *)
+    perform the assignment (see DESIGN.md §3).
+
+    Only the §4 protocol lives here. The fault wiring, the handler
+    install with checkpointed recovery ({!Checkpoint.Dd}), the
+    watchdog probe answer and the replay run are {!Run_common}'s, the
+    same for every token detector. *)
 
 open Wcp_trace
 open Wcp_sim
@@ -69,8 +74,9 @@ val install :
     snapshot streams, which is why live monitoring needs no recorded
     computation). The engine must follow the {!Run_common} id layout.
     The detected cut spans all [n_app] processes. [stop], [net],
-    [watchdog] and [recovery] as in {!Token_vc.install}. [delta] (default [true])
-    charges each §4 poll its packed one-word size ({!Wire.poll_bits})
+    [watchdog] and [recovery] as in {!Token_vc.install}. [delta]
+    (default [true]) charges each §4 poll its packed one-word size
+    ({!Wire.poll_bits})
     instead of the dense two words; the monitors decode both dd
     snapshot forms either way. *)
 
@@ -86,7 +92,6 @@ val detect :
   ?parallel:bool ->
   ?invariant_checks:bool ->
   ?start_at:int ->
-  ?ckpt_every:int ->
   ?options:Detection.options ->
   seed:int64 ->
   Computation.t ->
@@ -94,10 +99,9 @@ val detect :
   Detection.result
 (** The [Detected] cut spans all [N] processes; project it with
     {!Detection.project_outcome} to compare against the oracle.
-    [fault] and [ckpt_every] as in {!Token_vc.detect}: reliable
-    transport + token watchdog + graceful [Undetectable_crashed]
-    degradation, with checkpointed crash recovery under
-    [Fault.Restart] windows.
+    [fault] as in {!Token_vc.detect}: reliable transport + token
+    watchdog + graceful [Undetectable_crashed] degradation, with
+    checkpointed crash recovery under [Fault.Restart] windows.
     [options] as in {!Token_vc.detect}; for this algorithm [delta]
     packs §4.1 snapshot dependences ({!Wire.encode_dd}) and prices
     polls at their packed size ({!Wire.poll_bits}) — red-chain

@@ -10,6 +10,13 @@
     declares detection (all green) or re-dispatches a token into every
     group that still has a red member.
 
+    The group monitors are {!Token_vc}'s Fig. 3 monitors under a
+    {!Token_vc.route}: a token may visit only its own group, each
+    monitor's watchdog guards its forwards, the token is a
+    [Group_token], and a token whose group has no red member left
+    returns to the leader. This module is the leader. Group tokens and
+    returns share one hop counter and one delta meter per run.
+
     With [groups = 1] this degenerates to the single-token algorithm
     plus one leader round-trip. The point of the variant is wall-clock
     (simulated-time) parallelism, measured by experiment E3; totals for
@@ -27,7 +34,6 @@ val detect :
   ?fault:Fault.plan ->
   ?recorder:Wcp_obs.Recorder.t ->
   ?assignment:assignment ->
-  ?ckpt_every:int ->
   ?options:Detection.options ->
   groups:int ->
   seed:int64 ->
@@ -36,11 +42,11 @@ val detect :
   Detection.result
 (** [assignment] (default {!Round_robin}) is the §3.5 partition of the
     monitors into groups — the paper leaves it open; bench E10 ablates
-    the choice. [fault] and [ckpt_every] as in {!Token_vc.detect}:
-    reliable transport, one watchdog per group token, graceful
-    [Undetectable_crashed] degradation, and checkpointed crash recovery
-    for the group monitors under [Fault.Restart] windows (the leader is
-    not restartable). [options] as in {!Token_vc.detect}: wire encoding
+    the choice. [fault] as in {!Token_vc.detect}: reliable transport,
+    a watchdog on every forward (one per monitor, one per group at the
+    leader), graceful [Undetectable_crashed] degradation, and
+    checkpointed crash recovery for the group monitors under
+    [Fault.Restart] windows (the leader is not restartable). [options] as in {!Token_vc.detect}: wire encoding
     ([delta]), interval gating ([gated]) and computation slicing
     ([slice]); detection behaviour identical under every setting.
     @raise Invalid_argument if [groups < 1] or [groups > Spec.width]. *)

@@ -16,9 +16,24 @@ type mon = {
   mutable last_token_seq : int;  (* highest token hop accepted (dedup) *)
 }
 
-type monitors = {
-  start_id : int;
-  start_token : Messages.t Wcp_sim.Engine.ctx -> unit;
+type monitors = Run_common.monitors
+
+type hop =
+  Messages.t Engine.ctx ->
+  ?wd:Watchdog.t ->
+  ?narrate:bool ->
+  dst:int ->
+  (int -> Messages.t) ->
+  int array ->
+  unit
+
+type route = {
+  visits : int -> int -> bool;
+  guard : int -> Watchdog.t option;
+  token : int -> seq:int -> int array -> Messages.color array -> Messages.t;
+  exhausted :
+    hop -> Messages.t Engine.ctx -> int -> int array -> Messages.color array ->
+    unit;
 }
 
 (* Executable check of Lemma 3.1 (parts 1-3) against the ground-truth
@@ -66,36 +81,47 @@ let check_invariants comp spec ~g ~color =
     done
   done
 
-let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
-    ?(stop = true) ?(start_at = 0) ?(delta = true) ~outcome ~hops ~snapshots ()
-    =
-  let net = match net with Some n -> n | None -> Run_common.raw_net engine in
+let routed engine ~n_app ~wcp_procs ~net ?recovery ?check ~stop ~delta ~outcome
+    ~hops ~snapshots route =
   (* Fetched once; every emission below is a single match when tracing
      is off (no closures, no event construction). *)
   let recorder = Engine.recorder engine in
   let width = Array.length wcp_procs in
-  if width = 0 then invalid_arg "Token_vc.install: empty WCP";
-  if start_at < 0 || start_at >= width then
-    invalid_arg "Token_vc.install: start_at out of range";
-  Array.iteri
-    (fun k p ->
-      if p < 0 || p >= n_app then invalid_arg "Token_vc.install: bad process";
-      if k > 0 && wcp_procs.(k - 1) >= p then
-        invalid_arg "Token_vc.install: procs must be strictly increasing")
-    wcp_procs;
-  let announce ctx o =
-    if Option.is_none !outcome then begin
-      outcome := Some o;
-      if stop then Engine.stop ctx
-    end
-  in
   let bits = Messages.bits ~spec_width:width in
   let monitor_id k = Run_common.monitor_of ~n:n_app wcp_procs.(k) in
+  (* One delta meter per run: every token edge, group returns
+     included, is priced against the same per-edge caches. *)
   let meter = if delta then Some (Wire.token_meter ~width) else None in
-  let token_bits ctx ~dst msg g =
-    match meter with
-    | Some mt -> Wire.token_bits mt ~src:(Engine.self ctx) ~dst g
-    | None -> bits msg
+  let hop ctx ?wd ?(narrate = true) ~dst token g =
+    incr hops;
+    let seq = !hops in
+    (if narrate then
+       match recorder with
+       | None -> ()
+       | Some r ->
+           Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
+             ~proc:(Engine.self ctx)
+             (Wcp_obs.Event.Token_sent { seq; dst; g = Array.copy g }));
+    let msg = token seq in
+    let hop_bits =
+      match meter with
+      | Some mt -> Wire.token_bits mt ~src:(Engine.self ctx) ~dst g
+      | None -> bits msg
+    in
+    net.Run_common.send ctx ~bits:hop_bits ~dst msg;
+    match wd with
+    | None -> ()
+    | Some wd ->
+        (* Deep-copy for regeneration: the receiver mutates the arrays
+           of the copy it gets. A resend puts the same bytes back on
+           the wire, so it re-charges [hop_bits] rather than re-running
+           the (stateful) encoder. *)
+        let payload = Messages.deep_copy msg in
+        Watchdog.watch wd ctx ~token:(payload, hop_bits) ~seq ~dst
+          ~resend:(fun ctx ->
+            net.Run_common.send ctx ~bits:hop_bits ~dst
+              (Messages.deep_copy payload))
+          ()
   in
   (* Fig. 3, run by the monitor currently holding the token. *)
   let rec process ctx m g color =
@@ -103,14 +129,8 @@ let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
     | Messages.Red -> (
       match Queue.take_opt m.queue with
       | None ->
-          if m.app_done then begin
-            (match recorder with
-            | None -> ()
-            | Some r ->
-                Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
-                  ~proc:(Engine.self ctx) Wcp_obs.Event.No_detection_declared);
-            announce ctx Detection.No_detection
-          end
+          if m.app_done then
+            Run_common.declare ~stop outcome ctx Detection.No_detection
           else m.held <- Some (g, color)
       | Some cand ->
           Engine.charge_work ctx 1;
@@ -128,88 +148,51 @@ let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
           end;
           process ctx m g color)
     | Messages.Green ->
-      let m_k = m.k in
-      let cand =
-        match m.last with
-        | Some c -> c
-        | None -> assert false (* the token only visits red monitors *)
-      in
-      Engine.charge_work ctx width;
-      for j = 0 to width - 1 do
-        if j <> m.k && cand.Snapshot.clock.(j) >= g.(j) then begin
-          (match recorder with
-          | None -> ()
-          | Some r ->
-              Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
-                ~proc:(Engine.self ctx)
-                (Wcp_obs.Event.Vc_advanced
-                   {
-                     by_k = m.k;
-                     by_proc = wcp_procs.(m.k);
-                     by_state = cand.Snapshot.state;
-                     by_clock = Array.copy cand.Snapshot.clock;
-                     victim_k = j;
-                     victim_proc = wcp_procs.(j);
-                     victim_state = g.(j);
-                     witness = cand.Snapshot.clock.(j);
-                   }));
-          g.(j) <- cand.Snapshot.clock.(j);
-          color.(j) <- Messages.Red
-        end
-      done;
+      (* A monitor turns green by consuming a candidate; one without a
+         candidate has nothing to eliminate with, and passes the token
+         on as it is. *)
+      (match m.last with
+      | None -> ()
+      | Some cand ->
+          Engine.charge_work ctx width;
+          for j = 0 to width - 1 do
+            if j <> m.k && cand.Snapshot.clock.(j) >= g.(j) then begin
+              (match recorder with
+              | None -> ()
+              | Some r ->
+                  Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
+                    ~proc:(Engine.self ctx)
+                    (Wcp_obs.Event.Vc_advanced
+                       {
+                         by_k = m.k;
+                         by_proc = wcp_procs.(m.k);
+                         by_state = cand.Snapshot.state;
+                         by_clock = Array.copy cand.Snapshot.clock;
+                         victim_k = j;
+                         victim_proc = wcp_procs.(j);
+                         victim_state = g.(j);
+                         witness = cand.Snapshot.clock.(j);
+                       }));
+              g.(j) <- cand.Snapshot.clock.(j);
+              color.(j) <- Messages.Red
+            end
+          done);
       (match check with Some f -> f ~g ~color | None -> ());
-      let first_red = ref (-1) in
+      let next = ref (-1) in
       for j = width - 1 downto 0 do
         match color.(j) with
-        | Messages.Red -> first_red := j
+        | Messages.Red -> if route.visits m.k j then next := j
         | Messages.Green -> ()
       done;
-      let j = !first_red in
+      let j = !next in
       if j >= 0 then begin
-        incr hops;
-        let seq = !hops in
-        Log.debug (fun m ->
-            m "t=%.3f token %d -> %d" (Engine.time ctx) m_k j);
-        (match recorder with
-        | None -> ()
-        | Some r ->
-            Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
-              ~proc:(Engine.self ctx)
-              (Wcp_obs.Event.Token_sent
-                 { seq; dst = monitor_id j; g = Array.copy g }));
-        let msg = Messages.Vc_token { seq; g; color } in
-        let hop_bits = token_bits ctx ~dst:(monitor_id j) msg g in
-        net.Run_common.send ctx ~bits:hop_bits ~dst:(monitor_id j) msg;
-        match watchdog with
-        | None -> ()
-        | Some wd ->
-            (* Deep-copy for regeneration: the receiver mutates the
-               arrays of the copy it gets. A resend puts the same bytes
-               back on the wire, so it re-charges [hop_bits] rather
-               than re-running the (stateful) encoder. *)
-            let g' = Array.copy g and color' = Array.copy color in
-            let payload = Messages.Vc_token { seq; g = g'; color = color' } in
-            Watchdog.watch wd ctx ~token:(payload, hop_bits) ~seq
-              ~dst:(monitor_id j)
-              ~resend:(fun ctx ->
-                net.Run_common.send ctx ~bits:hop_bits ~dst:(monitor_id j)
-                  (Messages.deep_copy payload))
-              ()
+        Log.debug (fun f ->
+            f "t=%.3f token %d -> %d" (Engine.time ctx) m.k j);
+        hop ctx ?wd:(route.guard m.k) ~dst:(monitor_id j)
+          (fun seq -> route.token m.k ~seq g color)
+          g
       end
-      else begin
-        Log.info (fun m ->
-            m "t=%.3f WCP detected at monitor %d" (Engine.time ctx) m_k);
-        (match recorder with
-        | None -> ()
-        | Some r ->
-            Wcp_obs.Recorder.emit r ~time:(Engine.time ctx)
-              ~proc:(Engine.self ctx)
-              (Wcp_obs.Event.Detected
-                 { procs = Array.copy wcp_procs; states = Array.copy g }));
-        announce ctx
-          (Detection.Detected
-             (Cut.make ~procs:wcp_procs ~states:(Array.copy g)))
-      end
+      else route.exhausted hop ctx m.k g color
   in
   let resume ctx m =
     match m.held with
@@ -235,7 +218,8 @@ let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
     | Messages.App_done ->
         m.app_done <- true;
         resume ctx m
-    | Messages.Vc_token { seq; g; color } ->
+    | Messages.Vc_token { seq; g; color }
+    | Messages.Group_token { seq; g; color; _ } ->
         (* Regenerated/duplicated tokens carry an already-seen hop
            number; processing one twice would corrupt the search. *)
         if seq > m.last_token_seq then begin
@@ -247,21 +231,9 @@ let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
                 ~proc:(Engine.self ctx) (Wcp_obs.Event.Token_received { seq }));
           process ctx m g color
         end
-    | Messages.Wd_probe { seq } ->
-        let reply =
-          Messages.Wd_reply
-            {
-              seq;
-              received = seq <= m.last_token_seq;
-              holding = m.held <> None && seq = m.last_token_seq;
-            }
-        in
-        Engine.send ctx ~bits:(bits reply) ~dst:src reply
-    | Messages.Wd_reply { seq; received; holding } -> (
-        match watchdog with
-        | Some wd -> Watchdog.on_reply wd ctx ~seq ~received ~holding
-        | None -> ())
-    | _ -> failwith "Token_vc: unexpected message at monitor"
+    | msg ->
+        Run_common.watchdog_message ?watchdog:(route.guard m.k) ctx ~src
+          ~last_seq:m.last_token_seq ~holding:(m.held <> None) msg
   in
   let cells =
     Array.init width (fun k ->
@@ -275,197 +247,125 @@ let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
           last_token_seq = 0;
         })
   in
-  (* Crash recovery: capture a checkpoint after every k-th handled
-     message on a restarting monitor, and rebuild its cell (plus any
-     watchdog lease it owned) from the last one at window end. *)
-  let maybe_capture =
-    match recovery with
-    | None -> None
-    | Some r ->
-        let cell_of : (int, mon) Hashtbl.t = Hashtbl.create 8 in
-        Array.iter (fun m -> Hashtbl.replace cell_of (monitor_id m.k) m) cells;
-        let capture proc =
-          let m = Hashtbl.find cell_of proc in
-          let algo =
-            Checkpoint.Vc
-              {
-                Checkpoint.v_queue = List.of_seq (Queue.to_seq m.queue);
-                v_decoder = Wire.decoder_state m.decoder;
-                v_app_done = m.app_done;
-                v_held = m.held;
-                v_last = m.last;
-                v_last_seq = m.last_token_seq;
-              }
-          in
-          let wd_state =
-            match watchdog with
-            | Some wd when Watchdog.seq wd > 0 && Watchdog.owner wd = proc -> (
-                match Watchdog.token wd with
-                | Some (payload, w_bits) ->
-                    Some
-                      {
-                        Checkpoint.w_seq = Watchdog.seq wd;
-                        w_dst = Watchdog.dst wd;
-                        w_probes = Watchdog.probes wd;
-                        w_bits;
-                        w_payload = payload;
-                      }
-                | None -> None)
-            | _ -> None
-          in
-          (algo, wd_state)
-        in
-        let restore ctx (c : Checkpoint.t) =
-          let m = Hashtbl.find cell_of c.Checkpoint.proc in
-          (match c.Checkpoint.algo with
-          | Checkpoint.Vc s ->
-              Queue.clear m.queue;
-              List.iter (fun x -> Queue.add x m.queue) s.Checkpoint.v_queue;
-              Wire.restore_decoder m.decoder s.Checkpoint.v_decoder;
-              m.app_done <- s.Checkpoint.v_app_done;
-              m.held <- s.Checkpoint.v_held;
-              m.last <- s.Checkpoint.v_last;
-              m.last_token_seq <- s.Checkpoint.v_last_seq
-          | _ -> failwith "Token_vc: checkpoint algorithm mismatch");
-          match (watchdog, c.Checkpoint.watchdog) with
-          | Some wd, Some w when w.Checkpoint.w_seq >= Watchdog.seq wd ->
-              (* Latest watch wins: a live watch with a newer hop means
-                 another monitor took over after this checkpoint. *)
-              let dst = w.Checkpoint.w_dst and bits = w.Checkpoint.w_bits in
-              let payload = w.Checkpoint.w_payload in
-              Watchdog.restore wd ctx ~token:(payload, bits)
-                ~seq:w.Checkpoint.w_seq ~dst ~probes:w.Checkpoint.w_probes
-                ~resend:(fun ctx ->
-                  net.Run_common.send ctx ~bits ~dst
-                    (Messages.deep_copy payload))
-                ()
-          | _ -> ()
-        in
-        Some
-          (Run_common.wire_recovery engine r
-             ~owns:(Hashtbl.mem cell_of)
-             ~capture ~restore)
-  in
-  Array.iter
-    (fun m ->
-      let id = monitor_id m.k in
-      match maybe_capture with
-      | None -> net.Run_common.set_handler id (on_message m)
-      | Some cap ->
-          net.Run_common.set_handler id (fun ctx ~src msg ->
-              on_message m ctx ~src msg;
-              cap id ctx))
-    cells;
-  {
-    start_id = monitor_id start_at;
-    start_token =
-      (fun ctx ->
-        (* The token starts fully red with G = 0: no state selected.
-           §3.2: "the token can start on any process. Since the entire
-           color vector is initialized to red, it must eventually visit
-           every process at least once." *)
-        let g = Array.make width 0 in
-        let color = Array.make width Messages.Red in
-        process ctx cells.(start_at) g color;
-        (* The injected token is a handled message like any other: the
-           starting monitor's checkpoint must include it, or a restart
-           before its first real delivery restores a token-less seed
-           and the token is lost with the crash. *)
-        match maybe_capture with
-        | None -> ()
-        | Some cap -> cap (monitor_id start_at) ctx);
-  }
-
-(* Shared by the token detectors: under a fault plan, route all
-   protocol traffic through the reliable transport and degrade to
-   [Undetectable_crashed] when a peer is unreachable. *)
-let chaos_net engine ~outcome =
-  let on_unreachable ctx ~dst =
-    if Option.is_none !outcome then begin
-      outcome := Some (Detection.Undetectable_crashed [ dst ]);
-      Engine.stop ctx
-    end
-  in
-  Run_common.reliable_net ~on_unreachable engine
-
-(* Under a plan with [Fault.Restart] windows the transport itself is
-   needed (checkpointing flow state, reconnect handshake) and must
-   retain acked frames for replay. *)
-let chaos_net_transport engine ~outcome =
-  let on_unreachable ctx ~dst =
-    if Option.is_none !outcome then begin
-      outcome := Some (Detection.Undetectable_crashed [ dst ]);
-      Engine.stop ctx
-    end
-  in
-  Run_common.reliable_net_transport ~recovery:true ~on_unreachable engine
-
-(* Net, watchdog and recovery wiring shared by the token detectors:
-   reprobing watchdogs and checkpoint capture exist only under plans
-   that actually restart someone, so every other run keeps its exact
-   pre-recovery schedule. *)
-let chaos_wiring engine ~fault ~outcome ~ckpt_every =
-  if ckpt_every < 1 then invalid_arg "detect: ckpt_every must be >= 1";
-  match fault with
-  | None -> (None, None, None)
-  | Some f when Fault.has_restarts f ->
-      let net, transport = chaos_net_transport engine ~outcome in
-      ( Some net,
-        Some (Watchdog.create ~reprobe:true ()),
-        Some
+  let checkpoint =
+    Run_common.install_monitors engine net ?recovery cells
+      ~id:(fun m -> monitor_id m.k)
+      ~watchdog:(fun m -> route.guard m.k)
+      ~capture:(fun m ->
+        Checkpoint.Vc
           {
-            Run_common.transport;
-            restarts = Fault.restarts f;
-            every = ckpt_every;
-          } )
-  | Some _ -> (Some (chaos_net engine ~outcome), Some (Watchdog.create ()), None)
+            Checkpoint.v_queue = List.of_seq (Queue.to_seq m.queue);
+            v_decoder = Wire.decoder_state m.decoder;
+            v_app_done = m.app_done;
+            v_held = m.held;
+            v_last = m.last;
+            v_last_seq = m.last_token_seq;
+          })
+      ~restore:(fun m -> function
+        | Checkpoint.Vc s ->
+            Queue.clear m.queue;
+            List.iter (fun x -> Queue.add x m.queue) s.Checkpoint.v_queue;
+            Wire.restore_decoder m.decoder s.Checkpoint.v_decoder;
+            m.app_done <- s.Checkpoint.v_app_done;
+            m.held <- s.Checkpoint.v_held;
+            m.last <- s.Checkpoint.v_last;
+            m.last_token_seq <- s.Checkpoint.v_last_seq
+        | Checkpoint.Dd _ -> failwith "Token_vc: checkpoint algorithm mismatch")
+      on_message
+  in
+  let start k =
+    {
+      Run_common.start_id = monitor_id k;
+      start_token =
+        (fun ctx ->
+          (* The token starts fully red with G = 0: no state selected.
+             §3.2: "the token can start on any process. Since the
+             entire color vector is initialized to red, it must
+             eventually visit every process at least once." *)
+          process ctx cells.(k) (Array.make width 0)
+            (Array.make width Messages.Red);
+          (* The injected token is a handled message like any other: a
+             restart before its first real delivery must not restore a
+             token-less seed. *)
+          checkpoint cells.(k) ctx);
+    }
+  in
+  (hop, start)
 
-let start engine monitors =
-  Engine.schedule_initial engine ~proc:monitors.start_id ~at:0.0
-    monitors.start_token
+let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
+    ?(stop = true) ?(start_at = 0) ?(delta = true) ~outcome ~hops ~snapshots ()
+    =
+  let net = match net with Some n -> n | None -> Run_common.raw_net engine in
+  let width = Array.length wcp_procs in
+  if width = 0 then invalid_arg "Token_vc.install: empty WCP";
+  if start_at < 0 || start_at >= width then
+    invalid_arg "Token_vc.install: start_at out of range";
+  Array.iteri
+    (fun k p ->
+      if p < 0 || p >= n_app then invalid_arg "Token_vc.install: bad process";
+      if k > 0 && wcp_procs.(k - 1) >= p then
+        invalid_arg "Token_vc.install: procs must be strictly increasing")
+    wcp_procs;
+  (* One token over every monitor: all green means detection. *)
+  let route =
+    {
+      visits = (fun _ _ -> true);
+      guard = (fun _ -> watchdog);
+      token = (fun _ ~seq g color -> Messages.Vc_token { seq; g; color });
+      exhausted =
+        (fun _ ctx k g _ ->
+          Log.info (fun f ->
+              f "t=%.3f WCP detected at monitor %d" (Engine.time ctx) k);
+          Run_common.declare ~stop outcome ctx
+            (Detection.Detected
+               (Cut.make ~procs:wcp_procs ~states:(Array.copy g))));
+    }
+  in
+  let _, start =
+    routed engine ~n_app ~wcp_procs ~net ?recovery ?check ~stop ~delta
+      ~outcome ~hops ~snapshots route
+  in
+  start start_at
+
+let start = Run_common.start
+
+let application (options : Detection.options) comp spec engine net =
+  let n = Computation.n comp in
+  App_replay.install engine comp ~net
+    ?app_bits:
+      (if options.Detection.delta then Some (Wire.replay_app_bits comp spec)
+       else None)
+    ~snapshots:(fun p ->
+      if Spec.mem spec p then
+        Wire.encoded_stream ~gated:options.Detection.gated
+          ~delta:options.Detection.delta comp spec ~proc:p
+      else [])
+    ~snapshot_dst:(fun p ->
+      if Spec.mem spec p then Some (Run_common.monitor_of ~n p) else None)
+    ~spec_width:(Spec.width spec) ()
 
 let rec detect ?network ?fault ?recorder ?(invariant_checks = false) ?start_at
-    ?(ckpt_every = 1) ?(options = Detection.default_options) ~seed comp spec =
+    ?(options = Detection.default_options) ~seed comp spec =
   if options.Detection.slice then
     Run_common.with_slice ?recorder ~keep_rest:false comp spec ~run:(fun sliced spec' ->
         detect ?network ?fault ?recorder ~invariant_checks ?start_at
-          ~ckpt_every
           ~options:{ options with Detection.slice = false }
           ~seed sliced spec')
   else
-  let { Detection.gated; delta; slice = _ } = options in
-  let n = Computation.n comp in
-  let width = Spec.width spec in
-  let fault =
-    match fault with Some p when not (Fault.is_none p) -> Some p | _ -> None
-  in
-  let engine = Run_common.make_engine ?network ?fault ?recorder ~seed comp in
-  Run_common.emit_run_meta engine ~algo:"token-vc" ~n ~width;
-  let outcome = ref None in
   let hops = ref 0 in
   let snapshots = ref 0 in
   let check =
     if invariant_checks then Some (check_invariants comp spec) else None
   in
-  let net, watchdog, recovery =
-    chaos_wiring engine ~fault ~outcome ~ckpt_every
-  in
-  let monitors =
-    install engine ~n_app:n ~wcp_procs:(Spec.procs spec) ?net ?watchdog ?check
-      ?recovery ?start_at ~delta ~outcome ~hops ~snapshots ()
-  in
-  (* Application side: Fig. 2 snapshots, spec processes only. *)
-  App_replay.install engine comp ?net
-    ?app_bits:(if delta then Some (Wire.replay_app_bits comp spec) else None)
-    ~snapshots:(fun p ->
-      if Spec.mem spec p then Wire.encoded_stream ~gated ~delta comp spec ~proc:p
-      else [])
-    ~snapshot_dst:(fun p ->
-      if Spec.mem spec p then Some (Run_common.monitor_of ~n p) else None)
-    ~spec_width:width ();
-  start engine monitors;
   let result =
-    Run_common.finish ?fault engine ~outcome ~extras:Detection.no_extras
+    Run_common.replay ?network ?fault ?recorder ~seed ~algo:"token-vc"
+      ~width:(Spec.width spec) comp
+      ~monitors:(fun engine w ~outcome ->
+        install engine ~n_app:(Computation.n comp) ~wcp_procs:(Spec.procs spec)
+          ~net:w.Run_common.net ?watchdog:(w.Run_common.watchdog ()) ?check
+          ?recovery:w.Run_common.recovery ?start_at
+          ~delta:options.Detection.delta ~outcome ~hops ~snapshots ())
+      ~app:(application options comp spec)
   in
   {
     result with

@@ -20,11 +20,16 @@
 
     {2 Two ways to run it}
 
-    {!detect} replays a recorded computation (the application side is
-    driven by {!App_replay}). {!install} + {!start} wire only the
-    monitor side into an engine, for {e live} monitoring: application
-    processes instrumented with {!Instrument} feed the monitors
-    directly, the paper's Fig. 1 deployment. *)
+    {!detect} replays a recorded computation ({!Run_common.replay},
+    with {!application} as the application side). {!install} +
+    {!start} wire only the monitor side into an engine, for {e live}
+    monitoring: application processes instrumented with {!Instrument}
+    feed the monitors directly, the paper's Fig. 1 deployment.
+
+    The monitors are written once, for a {!route}: {!install}'s route
+    lets the token visit every monitor, and {!Token_multi} runs the
+    same monitors under a route that keeps each group token inside its
+    group. *)
 
 open Wcp_trace
 open Wcp_sim
@@ -58,46 +63,18 @@ val install :
     run to completion).
 
     [net] (default {!Run_common.raw_net}) carries all monitor traffic;
-    pass {!Run_common.reliable_net} when running under a fault plan.
-    [watchdog], when given, guards every token hop against loss (lease
-    probe + regeneration; see {!Watchdog}). [recovery], when given,
-    wires checkpoint capture and deterministic restore for the plan's
-    [Fault.Restart] windows (see {!Run_common.wire_recovery}); its
-    transport must be the one behind [net].
+    under a fault plan, pass the fields of {!Run_common.chaos_wiring}:
+    its [net], a [watchdog] that guards every token hop against loss
+    (lease probe + regeneration; see {!Watchdog}), and its [recovery],
+    which checkpoints and deterministically restores the monitors in
+    the plan's [Fault.Restart] windows (see
+    {!Run_common.install_monitors}).
 
     [delta] (default [true]) charges each token hop its delta-encoded
     wire size ({!Wire.token_bits}) instead of the dense formula, and
     has the monitors decode {!Messages.Snap_vc_delta} snapshots (they
     always accept both snapshot forms). Purely a wire-cost matter:
     detection behaviour is identical either way. *)
-
-val chaos_net :
-  Messages.t Engine.t -> outcome:Detection.outcome option ref -> Run_common.net
-(** {!Run_common.reliable_net} whose unreachable-peer callback records
-    [Undetectable_crashed] in [outcome] (first crash wins) and halts
-    the engine. Shared by all token detectors' [?fault] modes. *)
-
-val chaos_net_transport :
-  Messages.t Engine.t ->
-  outcome:Detection.outcome option ref ->
-  Run_common.net * Messages.t Wcp_sim.Transport.t
-(** {!chaos_net} in recovery mode (acked frames retained for replay),
-    also exposing the transport for checkpointing. Used by the token
-    detectors whenever the fault plan has [Fault.Restart] windows. *)
-
-val chaos_wiring :
-  Messages.t Engine.t ->
-  fault:Fault.plan option ->
-  outcome:Detection.outcome option ref ->
-  ckpt_every:int ->
-  Run_common.net option * Watchdog.t option * Run_common.recovery option
-(** The full fault-mode wiring decision shared by the token detectors:
-    no plan → all [None]; a plan without restarts → {!chaos_net} and a
-    plain watchdog; a plan with [Fault.Restart] windows →
-    {!chaos_net_transport}, a monitor-liveness ([~reprobe:true])
-    watchdog, and the {!Run_common.recovery} bundle capturing every
-    [ckpt_every]-th message.
-    @raise Invalid_argument if [ckpt_every < 1]. *)
 
 val start : Messages.t Engine.t -> monitors -> unit
 (** Schedule the initial (all-red, [G = 0]) token at the starting
@@ -106,13 +83,73 @@ val start : Messages.t Engine.t -> monitors -> unit
     vector forces it to visit every monitor at least once. Call before
     [Engine.run]. *)
 
+(** {2 Routed monitors (§3.5)}
+
+    {!Token_multi}'s group monitors are these monitors under a route
+    that keeps each token inside its group. *)
+
+type hop =
+  Messages.t Engine.ctx ->
+  ?wd:Watchdog.t ->
+  ?narrate:bool ->
+  dst:int ->
+  (int -> Messages.t) ->
+  int array ->
+  unit
+(** [hop ctx ?wd ?narrate ~dst token g] sends [token seq] to [dst],
+    where [seq] is the run's next hop number: it narrates the hop
+    ([Token_sent], unless [narrate] is [false]), charges its
+    delta-encoded size against the cut [g] (one meter per run), and
+    has [wd] guard it. *)
+
+type route = {
+  visits : int -> int -> bool;
+      (** [visits k j]: a token at spec index [k] may go to [j] *)
+  guard : int -> Watchdog.t option;  (** the watchdog guarding [k]'s forwards *)
+  token : int -> seq:int -> int array -> Messages.color array -> Messages.t;
+      (** the token message [k] forwards *)
+  exhausted :
+    hop -> Messages.t Engine.ctx -> int -> int array -> Messages.color array ->
+    unit;
+      (** what [k] does with [(g, color)] when no red monitor it may
+          visit is left; {!install}'s route declares the cut *)
+}
+
+val routed :
+  Messages.t Engine.t ->
+  n_app:int ->
+  wcp_procs:int array ->
+  net:Run_common.net ->
+  ?recovery:Run_common.recovery ->
+  ?check:(g:int array -> color:Messages.color array -> unit) ->
+  stop:bool ->
+  delta:bool ->
+  outcome:Detection.outcome option ref ->
+  hops:int ref ->
+  snapshots:int ref ->
+  route ->
+  hop * (int -> monitors)
+(** The monitors {!install} wires, under [route]: returns the run's
+    {!hop} (for a leader that sends tokens of its own) and the start
+    token injected at a spec index. *)
+
+val application :
+  Detection.options ->
+  Computation.t ->
+  Spec.t ->
+  Messages.t Engine.t ->
+  Run_common.net ->
+  unit
+(** The offline application side of a run ({!Run_common.replay}'s
+    [app]): {!App_replay} of the spec processes' Fig. 2 snapshot
+    streams to their monitors. *)
+
 val detect :
   ?network:Network.t ->
   ?fault:Fault.plan ->
   ?recorder:Wcp_obs.Recorder.t ->
   ?invariant_checks:bool ->
   ?start_at:int ->
-  ?ckpt_every:int ->
   ?options:Detection.options ->
   seed:int64 ->
   Computation.t ->
@@ -135,9 +172,8 @@ val detect :
     peer yields [Undetectable_crashed] instead of a hang. Passing
     [Fault.none] is identical to omitting [fault]. When the plan has
     [Fault.Restart] windows the run additionally checkpoints each
-    restarting monitor after every [ckpt_every]-th handled message
-    (default 1, the exact-state-transfer anchor — see
-    [Checkpoint]) and rebuilds it from the last checkpoint at window
+    restarting monitor after every handled message (see
+    {!Checkpoint}) and rebuilds it from the last checkpoint at window
     end, replaying unconsumed transport frames.
 
     [options] (default {!Detection.default_options}) bundles the

@@ -6,8 +6,7 @@
    structural damage dies as [Btrace.Corrupt] (wrapped into a clean
    [Trace_codec.Parse_error] by the codec entry points), and a streamed
    detection run spells out the same first cut as the dense reference.
-   Bounded smoke always runs; WCP_BTRACE_CHECK=1 (make btrace-check)
-   unlocks the full corpus sweep. *)
+   A bounded smoke and the full corpus sweep both run. *)
 
 open Wcp_trace
 open Wcp_core
@@ -350,14 +349,12 @@ let test_stream_smoke () =
   stream_sweep ~sizes:[ (4, 8); (5, 6) ] ~densities:[ 0.3 ] ~seeds:[ 1; 2 ]
 
 let test_stream_full () =
-  if Sys.getenv_opt "WCP_BTRACE_CHECK" = None then ()
-  else
-    stream_sweep
-      ~sizes:[ (2, 10); (3, 8); (4, 12); (8, 12); (16, 10) ]
-      ~densities:[ 0.02; 0.1; 0.3; 0.6 ]
-      ~seeds:[ 1; 2; 3; 4; 5 ]
+  stream_sweep
+    ~sizes:[ (2, 10); (3, 8); (4, 12); (8, 12); (16, 10) ]
+    ~densities:[ 0.02; 0.1; 0.3; 0.6 ]
+    ~seeds:[ 1; 2; 3; 4; 5 ]
 
-(* --- Corpus convert round-trip (make btrace-check) ----------------- *)
+(* --- Corpus convert round-trip ---------------------------------------- *)
 
 let corpus_roundtrip () =
   (* dune runs tests from the build directory; the traces live in the
@@ -447,8 +444,7 @@ let () =
           Alcotest.test_case "dense vs streamed smoke" `Quick test_stream_smoke;
           Alcotest.test_case "unsound streams refused" `Quick
             test_unsound_streamed;
-          Alcotest.test_case "full corpus (WCP_BTRACE_CHECK=1)" `Slow
-            test_stream_full;
+          Alcotest.test_case "full corpus" `Slow test_stream_full;
           Alcotest.test_case "corpus convert round-trip" `Quick
             corpus_roundtrip;
         ] );

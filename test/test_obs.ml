@@ -1,9 +1,8 @@
 (* The observability plane: the JSONL codec round-trips arbitrary
    events (property), equal-seed traced runs are byte-identical,
    emitted logs validate against the wcp-events/1 schema, and
-   attaching a recorder is invisible to the run it observes. The full
-   algorithm x seed validation corpus is gated behind WCP_TRACE_CHECK=1
-   (make trace-check); a bounded smoke of the same check always runs. *)
+   attaching a recorder is invisible to the run it observes, over a
+   bounded smoke and the full algorithm x size x seed corpus. *)
 
 open Wcp_trace
 open Wcp_sim
@@ -273,11 +272,9 @@ let test_schema_smoke () =
   corpus ~algos:[ "token-vc"; "token-dd" ] ~sizes:[ (5, 8) ] ~seeds:[ 1 ]
 
 let test_schema_corpus () =
-  if Sys.getenv_opt "WCP_TRACE_CHECK" = None then ()
-  else
-    corpus ~algos:Detectors.names
-      ~sizes:[ (4, 8); (8, 12); (12, 10) ]
-      ~seeds:[ 1; 2; 3 ]
+  corpus ~algos:Detectors.names
+    ~sizes:[ (4, 8); (8, 12); (12, 10) ]
+    ~seeds:[ 1; 2; 3 ]
 
 let () =
   Alcotest.run "obs"
@@ -300,7 +297,6 @@ let () =
         [
           Alcotest.test_case "emitted logs validate (smoke)" `Quick
             test_schema_smoke;
-          Alcotest.test_case "full corpus (WCP_TRACE_CHECK=1)" `Slow
-            test_schema_corpus;
+          Alcotest.test_case "full corpus" `Slow test_schema_corpus;
         ] );
     ]

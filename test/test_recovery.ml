@@ -141,11 +141,7 @@ let gen_algo =
   G.oneof
     [
       G.map (fun m -> Checkpoint.Vc m) gen_vc_mon;
-      G.map (fun m -> Checkpoint.Multi m) gen_vc_mon;
       G.map (fun m -> Checkpoint.Dd m) gen_dd_mon;
-      G.map2
-        (fun round frontier -> Checkpoint.Frontier { round; frontier })
-        gen_int gen_iarr;
     ]
 
 let gen_wd =
@@ -197,7 +193,16 @@ let test_codec_rejects_malformed () =
   let c =
     {
       Checkpoint.proc = 3;
-      algo = Checkpoint.Frontier { round = 2; frontier = [| 1; 2; 3 |] };
+      algo =
+        Checkpoint.Vc
+          {
+            Checkpoint.v_queue = [];
+            v_decoder = [| 1; 2; 3 |];
+            v_app_done = false;
+            v_held = None;
+            v_last = None;
+            v_last_seq = 2;
+          };
       transport = { Transport.st_txs = []; st_rxs = [] };
       watchdog = None;
     }
@@ -210,6 +215,31 @@ let test_codec_rejects_malformed () =
   rejects (fun () ->
       Checkpoint.decode (String.sub s 0 (String.rindex s ' ')));
   rejects (fun () -> Checkpoint.decode (Checkpoint.version ^ " 0 4"))
+
+(* The algo variant keeps its wcp-ckpt/1 number: 0 for a vc monitor,
+   2 for a dd monitor. The numbers in between name no variant, so a
+   stream carrying one is refused rather than read as a monitor of
+   another kind. *)
+let codec_tags_stable =
+  Helpers.qtest ~count:200 "algo tags 0 (vc) and 2 (dd); 1 and 3 refused"
+    gen_ckpt (fun c ->
+      let toks =
+        Array.of_list (String.split_on_char ' ' (Checkpoint.encode c))
+      in
+      let tag =
+        match c.Checkpoint.algo with Checkpoint.Vc _ -> "0" | Dd _ -> "2"
+      in
+      let with_tag t =
+        let toks = Array.copy toks in
+        toks.(2) <- t;
+        String.concat " " (Array.to_list toks)
+      in
+      let refused t =
+        match Checkpoint.decode (with_tag t) with
+        | exception Failure _ -> true
+        | _ -> false
+      in
+      String.equal toks.(2) tag && refused "1" && refused "3")
 
 (* ------------------------------------------------------------------ *)
 (* Restart heals: detector matrix against the fault-free oracle        *)
@@ -225,23 +255,19 @@ let restart_plan comp ~from_t ~until_t =
       [ Fault.window ~kind:Fault.Restart ~proc:(n + 0) ~from_t ~until_t () ]
     ()
 
-let algos =
-  [
-    ( "token-vc",
-      fun ~fault ~seed comp spec ->
-        (Token_vc.detect ~fault ~seed comp spec : Detection.result) );
-    ( "token-dd",
-      fun ~fault ~seed comp spec -> Token_dd.detect ~fault ~seed comp spec );
-    ( "token-multi",
-      fun ~fault ~seed comp spec ->
-        Token_multi.detect ~fault ~groups:(min 4 (Spec.width spec)) ~seed comp
-          spec );
-  ]
-
-let project name spec (r : Detection.result) =
-  if String.equal name "token-dd" then
-    Detection.project_outcome spec r.Detection.outcome
-  else r.Detection.outcome
+(* Every detector that accepts a fault plan, its cut restricted to the
+   spec (multi-token with up to four groups). *)
+let recovered ~fault ~seed comp spec =
+  List.filter_map
+    (fun (d : Detectors.t) ->
+      if not d.faults then None
+      else
+        let r =
+          d.run ~fault ~options:Detection.default_options ~groups:4 ~seed comp
+            spec
+        in
+        Some (d.name, Detectors.spec_outcome d spec r.Detection.outcome))
+    Detectors.all
 
 let test_restart_heals_matrix () =
   List.iter
@@ -252,18 +278,50 @@ let test_restart_heals_matrix () =
       let fault = restart_plan comp ~from_t:2.0 ~until_t:10.0 in
       let seed = Int64.of_int s in
       List.iter
-        (fun (name, run) ->
+        (fun (name, outcome) ->
           Alcotest.check Helpers.outcome
             (Format.asprintf "%s heals %a seed %d" name Computation.pp_summary
                comp s)
-            expected
-            (project name spec (run ~fault ~seed comp spec)))
-        algos)
+            expected outcome)
+        (recovered ~fault ~seed comp spec))
     [
       ((8, 6, 50, 50, 21), 1);
       ((16, 5, 50, 50, 22), 2);
       ((32, 4, 40, 50, 23), 3);
     ]
+
+(* Early restarts: every watched monitor in turn, destroyed around the
+   time the injected start token reaches it and rebuilt eight time
+   units later. The checkpoint taken after every handled message
+   includes that token, so each fault-accepting detector still reports
+   the oracle's cut. *)
+let test_early_restart_heals () =
+  let comp = Helpers.build_comp (4, 8, 30, 50, 4) in
+  let n = Computation.n comp in
+  let spec = Spec.all comp in
+  let expected = Oracle.first_cut comp spec in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun from_t ->
+          let fault =
+            Fault.make
+              ~windows:
+                [
+                  Fault.window ~kind:Fault.Restart ~proc:(n + p) ~from_t
+                    ~until_t:(from_t +. 8.0) ();
+                ]
+              ()
+          in
+          List.iter
+            (fun (name, outcome) ->
+              Alcotest.check Helpers.outcome
+                (Printf.sprintf "%s heals monitor %d restarted at %.1f" name
+                   (n + p) from_t)
+                expected outcome)
+            (recovered ~fault ~seed:42L comp spec))
+        [ 0.5; 1.0; 2.0; 3.0 ])
+    (List.init n Fun.id)
 
 (* The restore must actually happen: checkpoint and restore counters
    are live, and the run still matches the oracle. *)
@@ -310,48 +368,14 @@ let test_restart_deterministic () =
   in
   Alcotest.(check string) "bit-identical restart run" (run ()) (run ())
 
-let test_ckpt_every_validation () =
-  let comp = Helpers.build_comp (3, 3, 50, 50, 1) in
-  let spec = Spec.all comp in
-  let fault = restart_plan comp ~from_t:1.0 ~until_t:5.0 in
-  List.iter
-    (fun f ->
-      match f () with
-      | exception Invalid_argument _ -> ()
-      | (_ : Detection.result) ->
-          Alcotest.fail "ckpt_every = 0 must be rejected")
-    [
-      (fun () -> Token_vc.detect ~fault ~ckpt_every:0 ~seed:1L comp spec);
-      (fun () -> Token_dd.detect ~fault ~ckpt_every:0 ~seed:1L comp spec);
-      (fun () ->
-        Token_multi.detect ~fault ~ckpt_every:0 ~groups:2 ~seed:1L comp spec);
-    ]
-
-(* Sparser checkpoints also heal (the transport replays the frames the
-   rolled-back state has not consumed). *)
-let test_sparse_checkpoints_heal () =
-  let comp = Helpers.build_comp (8, 6, 50, 50, 21) in
-  let spec = Spec.all comp in
-  let expected = Oracle.first_cut comp spec in
-  let fault = restart_plan comp ~from_t:2.0 ~until_t:10.0 in
-  Alcotest.check Helpers.outcome "vc heals at k=3" expected
-    (Token_vc.detect ~fault ~ckpt_every:3 ~seed:1L comp spec).Detection.outcome
-
 (* ------------------------------------------------------------------ *)
 (* Recovery soak                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Seeded crash/restart loop over random computations, windows and
-   link chaos. Bounded smoke by default; WCP_RECOVERY_SOAK=1 (the
-   [make recovery-soak] target) runs the full sweep. *)
-let soak_iters () =
-  match Sys.getenv_opt "WCP_RECOVERY_SOAK" with
-  | Some ("1" | "true" | "yes") -> 60
-  | _ -> 6
-
+   link chaos, every fault-accepting detector on each. *)
 let test_recovery_soak () =
-  let iters = soak_iters () in
-  for i = 1 to iters do
+  for i = 1 to 60 do
     let params =
       (3 + (i mod 5), 3 + (i mod 6), i * 17 mod 101, 30 + (i * 7 mod 60), 500 + i)
     in
@@ -370,12 +394,11 @@ let test_recovery_soak () =
     in
     let seed = Int64.of_int (31 * i) in
     List.iter
-      (fun (name, run) ->
+      (fun (name, outcome) ->
         Alcotest.check Helpers.outcome
           (Format.asprintf "soak %d: %s %a" i name Computation.pp_summary comp)
-          expected
-          (project name spec (run ~fault ~seed comp spec)))
-      algos
+          expected outcome)
+      (recovered ~fault ~seed comp spec)
   done
 
 let () =
@@ -386,21 +409,20 @@ let () =
           codec_roundtrip;
           Alcotest.test_case "malformed streams rejected" `Quick
             test_codec_rejects_malformed;
+          codec_tags_stable;
         ] );
       ( "restart-heals",
         [
-          Alcotest.test_case "matrix: vc/dd/multi, n in {8,16,32}" `Quick
-            test_restart_heals_matrix;
+          Alcotest.test_case "matrix: every token detector, n in {8,16,32}"
+            `Quick test_restart_heals_matrix;
+          Alcotest.test_case "early restart of every monitor" `Quick
+            test_early_restart_heals;
           Alcotest.test_case "checkpoint/restore counters live" `Quick
             test_restart_counters;
           Alcotest.test_case "restart-free runs stay untouched" `Quick
             test_no_restart_zero_counters;
           Alcotest.test_case "deterministic resume" `Quick
             test_restart_deterministic;
-          Alcotest.test_case "ckpt-every validation" `Quick
-            test_ckpt_every_validation;
-          Alcotest.test_case "sparse checkpoints heal" `Quick
-            test_sparse_checkpoints_heal;
         ] );
       ( "soak",
         [ Alcotest.test_case "seeded crash/restart loop" `Quick test_recovery_soak ] );

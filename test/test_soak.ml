@@ -107,10 +107,8 @@ let test_large_gcp_equivalence () =
   Alcotest.check Helpers.outcome "online = offline at scale" offline
     online.Detection.outcome
 
-(* Chaos soak: the token algorithms against the oracle across a matrix
-   of drop rates and seeds. The bounded smoke always runs inside
-   `dune runtest`; the full matrix (make chaos-soak) is gated behind
-   WCP_CHAOS_SOAK=1. *)
+(* Chaos soak: every detector that accepts a fault plan, against the
+   oracle across a matrix of sizes, drop rates and seeds. *)
 let chaos_matrix ~sizes ~drops ~seeds =
   List.iter
     (fun (n, m) ->
@@ -126,21 +124,21 @@ let chaos_matrix ~sizes ~drops ~seeds =
                   ~spike_mean:3.0 ()
               in
               let expected = Oracle.first_cut comp spec in
-              let fail name =
-                Alcotest.failf "%s mismatch: n=%d m=%d drop=%.2f seed=%d" name
-                  n m drop s
-              in
-              if
-                not
-                  (Detection.outcome_equal expected
-                     (Token_vc.detect ~fault ~seed comp spec).outcome)
-              then fail "vc";
-              if
-                not
-                  (Detection.outcome_equal expected
-                     (Detection.project_outcome spec
-                        (Token_dd.detect ~fault ~seed comp spec).outcome))
-              then fail "dd")
+              List.iter
+                (fun (d : Detectors.t) ->
+                  if d.faults then
+                    let r =
+                      d.run ~fault ~options:Detection.default_options
+                        ~groups:4 ~seed comp spec
+                    in
+                    if
+                      not
+                        (Detection.outcome_equal expected
+                           (Detectors.spec_outcome d spec r.outcome))
+                    then
+                      Alcotest.failf "%s mismatch: n=%d m=%d drop=%.2f seed=%d"
+                        d.name n m drop s)
+                Detectors.all)
             seeds)
         drops)
     sizes
@@ -149,12 +147,10 @@ let test_chaos_smoke () =
   chaos_matrix ~sizes:[ (6, 8) ] ~drops:[ 0.2 ] ~seeds:[ 1; 2 ]
 
 let test_chaos_soak () =
-  if Sys.getenv_opt "WCP_CHAOS_SOAK" = None then ()
-  else
-    chaos_matrix
-      ~sizes:[ (6, 10); (10, 12); (16, 10) ]
-      ~drops:[ 0.1; 0.2; 0.3 ]
-      ~seeds:[ 1; 2; 3; 4; 5 ]
+  chaos_matrix
+    ~sizes:[ (6, 10); (10, 12); (16, 10) ]
+    ~drops:[ 0.1; 0.2; 0.3 ]
+    ~seeds:[ 1; 2; 3; 4; 5 ]
 
 let () =
   Alcotest.run "soak"
@@ -173,7 +169,6 @@ let () =
       ( "chaos",
         [
           Alcotest.test_case "chaos smoke" `Slow test_chaos_smoke;
-          Alcotest.test_case "chaos matrix (WCP_CHAOS_SOAK=1)" `Slow
-            test_chaos_soak;
+          Alcotest.test_case "chaos matrix" `Slow test_chaos_soak;
         ] );
     ]

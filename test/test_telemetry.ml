@@ -3,10 +3,9 @@
    generic emitter's bytes (property — promised by a comment in
    telemetry.ml), window/phase mechanics behave on a synthetic stream,
    equal-seed live streams are byte-identical, and an attached
-   telemetry tap is invisible to the run it observes. The full
-   algorithm x size x seed stream-validation corpus is gated behind
-   WCP_TELEMETRY_CHECK=1 (make telemetry-check); a bounded smoke of
-   the same check always runs. *)
+   telemetry tap is invisible to the run it observes. Emitted streams
+   are validated over a bounded smoke and the full algorithm x size x
+   seed corpus. *)
 
 open Wcp_trace
 open Wcp_sim
@@ -403,11 +402,9 @@ let test_stream_smoke () =
   corpus ~algos:[ "token-vc"; "token-dd" ] ~sizes:[ (5, 8) ] ~seeds:[ 1 ]
 
 let test_stream_corpus () =
-  if Sys.getenv_opt "WCP_TELEMETRY_CHECK" = None then ()
-  else
-    corpus ~algos:Detectors.names
-      ~sizes:[ (4, 8); (8, 12); (12, 10) ]
-      ~seeds:[ 1; 2; 3 ]
+  corpus ~algos:Detectors.names
+    ~sizes:[ (4, 8); (8, 12); (12, 10) ]
+    ~seeds:[ 1; 2; 3 ]
 
 let () =
   Alcotest.run "telemetry"
@@ -438,7 +435,6 @@ let () =
         [
           Alcotest.test_case "emitted streams validate (smoke)" `Quick
             test_stream_smoke;
-          Alcotest.test_case "full corpus (WCP_TELEMETRY_CHECK=1)" `Slow
-            test_stream_corpus;
+          Alcotest.test_case "full corpus" `Slow test_stream_corpus;
         ] );
     ]
