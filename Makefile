@@ -42,8 +42,9 @@ bench-smoke:
 
 # Everything a PR should pass: build, tests (the full chaos, recovery,
 # event-schema, telemetry-stream and btrace corpora included), the
-# smoke perf gate, and the CLI-level store/telemetry/service gates.
-check: build test bench-smoke btrace-check telemetry-check serve-check
+# smoke perf gate, the CLI-level store/telemetry/service gates and
+# the examples.
+check: build test bench-smoke btrace-check telemetry-check serve-check examples
 
 # Telemetry-plane gate: prove the wcp-metrics/1 stream
 # byte-deterministic ACROSS processes. The same trace, seed and
@@ -146,11 +147,15 @@ serve-check:
 	echo "serve-check: kill-and-reconnect OK ($$(cat $$tmp/served.out))"; \
 	wait $$srv || { echo "serve-check: server exited non-zero"; exit 1; }
 
+# Run every example; the first one that exits non-zero fails the
+# target. Their complete outputs are pinned by test/examples.t.
 examples:
 	@for e in quickstart mutual_exclusion database_locks \
 	  algorithm_comparison distributed_debugging online_monitoring \
 	  channel_monitor boolean_predicates deadlock_detection bank_audit; do \
-	  echo "==== $$e ===="; dune exec examples/$$e.exe; echo; done
+	  echo "==== $$e ===="; \
+	  dune exec examples/$$e.exe || { echo "examples: $$e failed"; exit 1; }; \
+	  echo; done
 
 clean:
 	dune clean

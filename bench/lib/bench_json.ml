@@ -183,7 +183,7 @@ let run_sim ?recorder job =
   (* E17 ablates computation slicing: param=1 detects on the slice
      (identical outcome, remapped cut), param=0 on the dense run. *)
   let slice = job.experiment = "E17" && job.param <> 0 in
-  let options = Detection.options ~delta ~slice () in
+  let options = { Detection.delta } in
   (* [param] is multi-token's group count in E3; elsewhere the group
      count is pinned at 2 (the E3 sweet spot). In E18 it is the parallel
      checker's own domain count (not the bench harness parallelism);
@@ -215,8 +215,9 @@ let run_sim ?recorder job =
           ()
     | "E12" -> token ~start_at:job.param ()
     | _ ->
-        (detector job.algo).run ?fault ?recorder ~options ~groups ?domains
-          ~seed comp spec
+        let d = detector job.algo in
+        (if slice then Detectors.sliced d else d.run)
+          ?fault ?recorder ~options ~groups ?domains ~seed comp spec
   in
   (comp, spec, r)
 
@@ -329,7 +330,7 @@ let run_e21 job =
       let decode_ns = ns_since t0 in
       let peak_words = max 0 (live_words () - live0) in
       let spec = Spec.make comp procs in
-      let options = Detection.options () in
+      let options = Detection.default_options in
       Gc.minor ();
       let alloc0 = Gc.allocated_bytes () in
       let t0 = Unix.gettimeofday () in
@@ -678,8 +679,8 @@ let run_detection job =
   in
   (* E17 sliced arm: rebuild the slice outside the timed window to
      report its shape and isolated construction cost (the timed run
-     above already paid construction inside [detect], so wall_ns
-     compares end-to-end dense vs sliced). *)
+     above already paid construction inside [Detectors.sliced], so
+     wall_ns compares end-to-end dense vs sliced). *)
   let slice_states, slice_ns =
     if job.experiment = "E17" && job.param <> 0 then begin
       let t0 = Unix.gettimeofday () in

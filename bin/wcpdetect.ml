@@ -56,6 +56,10 @@ let positive_int =
   checked int_of_string_opt Format.pp_print_int ~docv:"K"
     ~what:"a positive integer" (fun k -> k > 0)
 
+let at_least_two =
+  checked int_of_string_opt Format.pp_print_int ~docv:"K"
+    ~what:"an integer >= 2" (fun k -> k >= 2)
+
 let positive_float =
   checked float_of_string_opt Format.pp_print_float ~docv:"T"
     ~what:"a positive number" (fun x -> x > 0. && Float.is_finite x)
@@ -115,26 +119,43 @@ let procs_of ~trace ~n = function
 let spec_of ~trace comp procs =
   Spec.make comp (procs_of ~trace ~n:(Computation.n comp) procs)
 
+(* An output file that cannot be created is one diagnostic line, like
+   a trace that cannot be read. *)
+let writing f =
+  try f ()
+  with Sys_error msg ->
+    Printf.eprintf "wcpdetect: %s\n" msg;
+    exit 2
+
 let emit_trace out comp =
   match out with
   | "-" -> print_string (Trace_codec.encode comp)
   | path ->
       (* A .btrace suffix selects the binary store; anything else gets
          the human-readable text format. *)
-      if Filename.check_suffix path ".btrace" then Btrace.write_file path comp
-      else Trace_codec.write_file path comp;
+      writing (fun () ->
+          if Filename.check_suffix path ".btrace" then
+            Btrace.write_file path comp
+          else Trace_codec.write_file path comp);
       Printf.printf "wrote %s (%d processes, %d states, %d messages)\n" path
         (Computation.n comp)
         (Computation.total_states comp)
         (Array.length (Computation.messages comp))
 
-(* Both trace formats (autodetected), with parse errors surfaced as a
-   clean one-line diagnostic instead of an exception trace. *)
+(* Both trace formats (autodetected), with a parse error or an
+   unreadable file surfaced as a clean one-line diagnostic, in the
+   words of [detect --stream], instead of an exception trace. *)
 let load_trace path =
-  try Trace_codec.read_file path
-  with Trace_codec.Parse_error { line; message } ->
-    Printf.eprintf "wcpdetect: %s:%d: %s\n" path line message;
-    exit 2
+  try Trace_codec.read_file path with
+  | Trace_codec.Parse_error { line; message } ->
+      Printf.eprintf "wcpdetect: %s:%d: %s\n" path line message;
+      exit 2
+  | Sys_error msg ->
+      Printf.eprintf "wcpdetect: %s\n" msg;
+      exit 2
+  | Unix.Unix_error (e, _, _) ->
+      Printf.eprintf "wcpdetect: %s: %s\n" path (Unix.error_message e);
+      exit 2
 
 (* ------------------------------------------------------------------ *)
 (* Fault-plan arguments (shared by detect and chaos)                   *)
@@ -254,7 +275,9 @@ let fault_plan ~trace ~algo ~n ~procs ~drop ~dup ~crashes ~restarts
 
 let generate_cmd =
   let n =
-    Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+    Arg.(
+      value & opt positive_int 4
+      & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
   in
   let sends =
     Arg.(
@@ -273,11 +296,18 @@ let generate_cmd =
       & info [ "p-recv" ] ~docv:"P" ~doc:"Bias toward receiving when possible.")
   in
   let run n sends p_pred p_recv seed out =
+    if n = 1 && sends > 0 then begin
+      prerr_endline
+        "wcpdetect: -n 1 needs -m 0 (one process has nobody to send to)";
+      exit 2
+    end;
     let params = { Generator.n; sends_per_process = sends; p_pred; p_recv } in
     if out <> "-" && Filename.check_suffix out ".btrace" then begin
       (* Direct-to-disk: the events stream straight into the binary
          store, so generation memory is independent of trace length. *)
-      let states, messages = Generator.random_btrace ~params ~seed out in
+      let states, messages =
+        writing (fun () -> Generator.random_btrace ~params ~seed out)
+      in
       Printf.printf "wrote %s (%d processes, %d states, %d messages)\n" out n
         states messages
     end
@@ -326,13 +356,15 @@ let workload_cmd =
   in
   let size =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "size" ] ~docv:"K"
-          ~doc:"Clients / readers+writers / ring members.")
+          ~doc:
+            "Clients / readers+writers / ring members; at least 2 for mutex, \
+             ring and philosophers.")
   in
   let rounds =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "rounds" ] ~docv:"R" ~doc:"Rounds / requests / laps.")
   in
   let p_bug =
@@ -341,6 +373,11 @@ let workload_cmd =
       & info [ "p-bug" ] ~docv:"P" ~doc:"Bug injection probability.")
   in
   let run kind size rounds p_bug seed out =
+    if size < 2 && (kind = `Mutex || kind = `Ring || kind = `Philosophers)
+    then begin
+      prerr_endline "wcpdetect: this workload needs --size 2 or more";
+      exit 2
+    end;
     let w =
       match kind with
       | `Mutex ->
@@ -467,7 +504,7 @@ let write_trace recorder ~path ~format =
   let data = render_events format events in
   if path = "-" then print_string data
   else begin
-    Wcp_obs.Export.write_file path data;
+    writing (fun () -> Wcp_obs.Export.write_file path data);
     let dropped = Wcp_obs.Recorder.dropped recorder in
     Printf.printf "trace: %d events -> %s%s\n" (Array.length events) path
       (if dropped > 0 then
@@ -520,7 +557,8 @@ let setup_metrics ~recorder ~metrics_out ~metrics_every =
           Wcp_obs.Telemetry.close tel;
           if path = "-" then print_string (Buffer.contents buf)
           else begin
-            Wcp_obs.Export.write_file path (Buffer.contents buf);
+            writing (fun () ->
+                Wcp_obs.Export.write_file path (Buffer.contents buf));
             Printf.printf "metrics: %d lines -> %s\n"
               (Wcp_obs.Telemetry.lines tel)
               path
@@ -535,8 +573,10 @@ let run_algo ?fault ?recorder ?(slice = false) algo ~groups ~seed comp spec =
   match Detectors.find algo with
   | Ok d ->
       if fault <> None && not d.faults then refuse_faults ();
-      let options = Detection.options ~slice () in
-      Some (d.run ?fault ?recorder ~options ~groups ~seed comp spec)
+      Some
+        ((if slice then Detectors.sliced d else d.run)
+           ?fault ?recorder ~options:Detection.default_options ~groups ~seed
+           comp spec)
   | Error _ -> (
       if slice then ignore (detector_or_die "--slice" algo);
       if fault <> None then refuse_faults ();
@@ -1113,7 +1153,9 @@ let feed_cmd =
         (match metrics_out with
         | None -> ()
         | Some "-" -> prerr_string (Buffer.contents mbuf)
-        | Some path -> Wcp_obs.Export.write_file path (Buffer.contents mbuf))
+        | Some path -> (
+            try Wcp_obs.Export.write_file path (Buffer.contents mbuf)
+            with Sys_error m -> fail "%s" m))
   in
   Cmd.v
     (Cmd.info "feed"
@@ -1281,27 +1323,41 @@ let render_cmd =
 (* gcp                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let parse_channel ~line spec =
-  (* empty:SRC-DST | atleastK:SRC-DST | atmostK:SRC-DST *)
-  match String.split_on_char ':' spec with
-  | [ kind; pair ] -> (
-      let src, dst =
-        match String.split_on_char '-' pair with
-        | [ s; d ] -> (int_of_string s, int_of_string d)
-        | _ -> failwith (Printf.sprintf "bad channel endpoints %S" line)
-      in
-      if kind = "empty" then Gcp.empty ~src ~dst
-      else if String.length kind > 7 && String.sub kind 0 7 = "atleast" then
-        Gcp.at_least (int_of_string (String.sub kind 7 (String.length kind - 7))) ~src ~dst
-      else if String.length kind > 6 && String.sub kind 0 6 = "atmost" then
-        Gcp.at_most (int_of_string (String.sub kind 6 (String.length kind - 6))) ~src ~dst
-      else failwith (Printf.sprintf "unknown channel predicate %S" kind))
-  | _ -> failwith (Printf.sprintf "bad channel spec %S (want kind:src-dst)" line)
+(* empty:SRC-DST, atleastK:SRC-DST or atmostK:SRC-DST; whether the
+   trace has SRC and DST is checked once it is loaded. *)
+let channel_conv =
+  let nat s =
+    match int_of_string_opt s with Some k when k >= 0 -> Some k | _ -> None
+  in
+  let parse spec =
+    let kind, ends =
+      match String.split_on_char ':' spec with
+      | [ kind; pair ] -> (kind, List.map nat (String.split_on_char '-' pair))
+      | _ -> ("", [])
+    in
+    let bound prefix =
+      let l = String.length prefix in
+      if String.length kind > l && String.sub kind 0 l = prefix then
+        nat (String.sub kind l (String.length kind - l))
+      else None
+    in
+    match (ends, bound "atleast", bound "atmost") with
+    | [ Some src; Some dst ], _, _ when kind = "empty" ->
+        Ok (Gcp.empty ~src ~dst)
+    | [ Some src; Some dst ], Some k, _ -> Ok (Gcp.at_least k ~src ~dst)
+    | [ Some src; Some dst ], _, Some k -> Ok (Gcp.at_most k ~src ~dst)
+    | _ ->
+        Error
+          (Printf.sprintf
+             "%S: want empty:SRC-DST, atleastK:SRC-DST or atmostK:SRC-DST" spec)
+  in
+  Arg.conv' ~docv:"SPEC"
+    (parse, fun ppf cp -> Format.pp_print_string ppf (Gcp.name cp))
 
 let gcp_cmd =
   let channels =
     Arg.(
-      value & opt_all string []
+      value & opt_all channel_conv []
       & info [ "c"; "channel" ] ~docv:"SPEC"
           ~doc:
             "Channel predicate, e.g. empty:0-1, atleast2:0-1, atmost3:2-0.              Repeatable.")
@@ -1312,10 +1368,14 @@ let gcp_cmd =
       & info [ "online" ]
           ~doc:"Run the online centralized checker instead of the offline                 algorithm.")
   in
-  let run trace channel_specs procs online seed =
+  let run trace channels procs online seed =
     let comp = load_trace trace in
     let spec = spec_of ~trace comp procs in
-    let channels = List.map (fun s -> parse_channel ~line:s s) channel_specs in
+    List.iter
+      (fun cp ->
+        let src, dst = Gcp.endpoints cp in
+        ignore (procs_of ~trace ~n:(Computation.n comp) (Some [| src; dst |])))
+      channels;
     if online then
       let r = Checker_gcp.detect ~seed ~channels comp spec in
       Format.printf "%a@." Detection.pp_result r
@@ -1343,10 +1403,13 @@ let live_cmd =
       & info [ "p-bug" ] ~docv:"P" ~doc:"Coordinator race probability.")
   in
   let clients =
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"K" ~doc:"Clients.")
+    Arg.(
+      value & opt at_least_two 3 & info [ "clients" ] ~docv:"K" ~doc:"Clients.")
   in
   let rounds =
-    Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"R" ~doc:"CS entries each.")
+    Arg.(
+      value & opt positive_int 3
+      & info [ "rounds" ] ~docv:"R" ~doc:"CS entries each.")
   in
   let run mode p_bug clients rounds seed =
     let r = Live_mutex.run ~p_bug ~mode ~clients ~rounds ~seed () in
@@ -1383,9 +1446,13 @@ let live_cmd =
 (* ------------------------------------------------------------------ *)
 
 let lowerbound_cmd =
-  let n = Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Queues.") in
+  let n =
+    Arg.(value & opt at_least_two 8 & info [ "n" ] ~docv:"N" ~doc:"Queues.")
+  in
   let m =
-    Arg.(value & opt int 16 & info [ "m" ] ~docv:"M" ~doc:"States per queue.")
+    Arg.(
+      value & opt positive_int 16
+      & info [ "m" ] ~docv:"M" ~doc:"States per queue.")
   in
   let run n m =
     let world, stats = Wcp_lowerbound.Adversary.make ~n ~m in

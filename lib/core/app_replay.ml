@@ -11,9 +11,10 @@ type proc_state = {
   mutable blocked : bool;  (* current op is a receive we cannot satisfy yet *)
 }
 
-let install engine comp ?net ?app_bits ~snapshots ~snapshot_dst ~spec_width
-    ?(think = 0.3) () =
-  let net = match net with Some n -> n | None -> Run_common.raw_net engine in
+let think = 0.3
+
+let install engine comp ~net ?app_bits ~snapshots ~snapshot_dst ~spec_width ()
+    =
   let n = Computation.n comp in
   let app_bits =
     match app_bits with
@@ -91,3 +92,12 @@ let install engine comp ?net ?app_bits ~snapshots ~snapshot_dst ~spec_width
         emit_snapshot ctx st;
         step ctx st)
   done
+
+let vc ~delta ~dst comp spec engine net =
+  install engine comp ~net
+    ?app_bits:(if delta then Some (Wire.replay_app_bits comp spec) else None)
+    ~snapshots:(fun p ->
+      if Spec.mem spec p then Wire.encoded_stream ~delta comp spec ~proc:p
+      else [])
+    ~snapshot_dst:(fun p -> if Spec.mem spec p then Some (dst p) else None)
+    ~spec_width:(Spec.width spec) ()

@@ -19,12 +19,11 @@ open Wcp_sim
 val install :
   Messages.t Engine.t ->
   Computation.t ->
-  ?net:Run_common.net ->
+  net:Run_common.net ->
   ?app_bits:(int -> int) ->
   snapshots:(int -> (int * Messages.t) list) ->
   snapshot_dst:(int -> int option) ->
   spec_width:int ->
-  ?think:float ->
   unit ->
   unit
 (** [snapshots p] lists, for application process [p], the snapshot
@@ -34,10 +33,25 @@ val install :
     [spec_width] sizes the clock tag charged on application messages;
     [app_bits] (default the dense [Messages.bits] formula) overrides
     the per-message charge by id — used to price delta-encoded clock
-    tags from a {!Wire.app_tag_plan}.
-    [think] (default 0.3) is the mean think time before each send.
+    tags from a {!Wire.app_tag_plan}. The mean think time before each
+    send is 0.3.
 
-    [net] (default {!Run_common.raw_net}) carries all application
-    traffic; under a fault plan the replay must ride the reliable
-    transport, or a dropped application message would deadlock the
-    script. *)
+    [net] carries all application traffic ({!Run_common.raw_net}, or
+    under a fault plan the reliable transport, without which a dropped
+    application message would deadlock the script). *)
+
+val vc :
+  delta:bool ->
+  dst:(int -> int) ->
+  Computation.t ->
+  Spec.t ->
+  Messages.t Engine.t ->
+  Run_common.net ->
+  unit
+(** The vc-family application side (Fig. 2): {!install} of each spec
+    process [p]'s gated snapshot stream ({!Wire.encoded_stream}), sent
+    with its [App_done] to [dst p]; the other processes report to
+    nobody. With [delta], snapshots ship hybrid-encoded and
+    application clock tags are charged their encoded size
+    ({!Wire.replay_app_bits}); without it every charge is dense. The
+    token detectors send to the monitors, the checker to itself. *)

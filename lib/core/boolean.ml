@@ -154,7 +154,7 @@ let detect_disjunct comp index lits =
       in
       { index; procs; first_cut }
 
-let detect_disjunct_online ?options ~seed comp index lits =
+let detect_disjunct_online ~seed comp index lits =
   match lits with
   | [] ->
       let procs = Array.init (Computation.n comp) Fun.id in
@@ -182,9 +182,7 @@ let detect_disjunct_online ?options ~seed comp index lits =
             | Some group -> List.for_all (fun l -> l.lit_holds state) group)
       in
       let spec = Spec.make derived procs in
-      (* Each disjunct is its own WCP over its own reflagged
-         computation, so [options.slice] slices once per disjunct. *)
-      let r = Token_vc.detect ?options ~seed derived spec in
+      let r = Token_vc.detect ~seed derived spec in
       let first_cut =
         match r.Detection.outcome with
         | Detection.Detected cut -> Some cut
@@ -192,12 +190,10 @@ let detect_disjunct_online ?options ~seed comp index lits =
       in
       { index; procs; first_cut }
 
-let detect_online ?max_disjuncts ?options ~seed comp expr =
+let detect_online ?max_disjuncts ~seed comp expr =
   check_procs comp expr;
   let disjuncts =
-    List.mapi
-      (detect_disjunct_online ?options ~seed comp)
-      (dnf ?max_disjuncts expr)
+    List.mapi (detect_disjunct_online ~seed comp) (dnf ?max_disjuncts expr)
   in
   {
     possibly = List.exists (fun d -> d.first_cut <> None) disjuncts;

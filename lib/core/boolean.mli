@@ -76,7 +76,6 @@ val detect : ?max_disjuncts:int -> Computation.t -> expr -> verdict
 
 val detect_online :
   ?max_disjuncts:int ->
-  ?options:Detection.options ->
   seed:int64 ->
   Computation.t ->
   expr ->
@@ -87,6 +86,4 @@ val detect_online :
     full {!Token_vc} run on the simulator. Equal to {!detect} (asserted
     by the test suite); exists to demonstrate that the §2 reduction
     really does hand arbitrary boolean predicates to the paper's
-    distributed algorithms unchanged. [options] as in
-    {!Token_vc.detect}; [options.slice] slices once per disjunct (each
-    disjunct is a distinct reflagging, hence a distinct slice). *)
+    distributed algorithms unchanged. *)

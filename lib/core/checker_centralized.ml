@@ -2,7 +2,7 @@ open Wcp_trace
 open Wcp_sim
 
 let run ?network ?recorder ~seed ~algo ~procs ~words ~state ~clock ~decode
-    ~install ?(on_full = fun _ _ -> false) comp =
+    ~app ?(on_full = fun _ _ -> false) comp =
   let n = Computation.n comp in
   let width = Array.length procs in
   let engine = Run_common.make_engine ?network ?recorder ~seed comp in
@@ -75,19 +75,12 @@ let run ?network ?recorder ~seed ~algo ~procs ~words ~state ~clock ~decode
         settle ctx
   in
   Engine.set_handler engine checker on_message;
-  install engine;
+  app engine (Run_common.raw_net engine);
   let result = Run_common.finish engine ~outcome ~extras:Detection.no_extras in
   { result with extras = { result.extras with snapshots = !snapshots_seen } }
 
-let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
+let detect ?network ?recorder ?(options = Detection.default_options) ~seed
     comp spec =
-  if options.Detection.slice then
-    Run_common.with_slice ?recorder ~keep_rest:false comp spec ~run:(fun sliced spec' ->
-        detect ?network ?recorder
-          ~options:{ options with Detection.slice = false }
-          ~seed sliced spec')
-  else
-  let { Detection.gated; delta; slice = _ } = options in
   let width = Spec.width spec in
   (* One decode cache per inbound (spec process -> checker) channel. *)
   let decoders = Array.init width (fun _ -> Wire.snap_decoder ~width) in
@@ -97,12 +90,8 @@ let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
     ~state:(fun (s : Snapshot.vc) -> s.state)
     ~clock:(fun (s : Snapshot.vc) -> s.clock)
     ~decode:(fun k msg -> Wire.decode_snap decoders.(k) msg)
-    ~install:(fun engine ->
-      App_replay.install engine comp
-        ?app_bits:(if delta then Some (Wire.replay_app_bits comp spec) else None)
-        ~snapshots:(fun p ->
-          if Spec.mem spec p then Wire.encoded_stream ~gated ~delta comp spec ~proc:p
-          else [])
-        ~snapshot_dst:(fun p -> if Spec.mem spec p then Some checker else None)
-        ~spec_width:width ())
+    ~app:
+      (App_replay.vc ~delta:options.Detection.delta
+         ~dst:(fun _ -> checker)
+         comp spec)
     comp

@@ -25,9 +25,10 @@ val detect :
 (** [recorder] (default none) records snapshot arrivals and every
     happened-before elimination with both candidates' vector clocks;
     see {!Wcp_sim.Engine.create}. [options] as in {!Token_vc.detect}:
-    wire encoding ([delta]), interval gating ([gated]) and computation
-    slicing ([slice]); detection behaviour identical under every
-    setting. *)
+    the wire encoding ([delta]) changes bits only, never detection
+    behaviour. The application side is {!App_replay.vc}, the token
+    detectors' own, with the checker as every snapshot's
+    destination. *)
 
 val run :
   ?network:Network.t ->
@@ -39,16 +40,16 @@ val run :
   state:('a -> int) ->
   clock:('a -> int array) ->
   decode:(int -> Messages.t -> 'a) ->
-  install:(Messages.t Engine.t -> unit) ->
+  app:(Messages.t Engine.t -> Run_common.net -> unit) ->
   ?on_full:(Messages.t Engine.ctx -> 'a Elimination.t -> bool) ->
   Computation.t ->
   Detection.result
 (** One checker run: an engine whose checker process (engine id [2N])
     gets one slot per entry of [procs] (strictly increasing processes)
     and an {!Elimination} over candidates whose [clock] column [k]
-    belongs to slot [k]. [install] wires the application replay, which
-    must send each process's snapshots and a final [App_done] to the
-    checker; [decode k msg] turns a snapshot from slot [k]'s process
+    belongs to slot [k]. [app] wires the application replay over
+    {!Run_common.raw_net}; it must send each process's snapshots and a
+    final [App_done] to the checker; [decode k msg] turns a snapshot from slot [k]'s process
     into a candidate. Per arrival the checker narrates
     [Snapshot_arrived], queues the candidate and notes [words] per
     queued candidate as its space; each fill costs [width] work units,

@@ -3,22 +3,7 @@ open Wcp_sim
 
 type candidate = { state : int; clock : int array; counts : int array }
 
-let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
-    ~channels comp spec =
-  if options.Detection.slice then begin
-    (* Channel predicates count in-flight messages; a slice replaces
-       real messages with skeleton edges, so send/receive counts are
-       not slice-invariant. Only the pure-WCP instance may be sliced. *)
-    if channels <> [] then
-      invalid_arg
-        "Checker_gcp.detect: channel counts are not slice-invariant (use \
-         slice only with ~channels:[])";
-    Run_common.with_slice ?recorder ~keep_rest:true comp spec ~run:(fun sliced spec' ->
-        detect ?network ?recorder
-          ~options:{ options with Detection.slice = false }
-          ~seed ~channels sliced spec')
-  end
-  else
+let detect ?network ?recorder ~seed ~channels comp spec =
   let n = Computation.n comp in
   let holds =
     List.map
@@ -80,8 +65,8 @@ let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
     ~decode:(fun _ -> function
       | Messages.Snap_gcp { state; clock; counts } -> { state; clock; counts }
       | _ -> failwith "Checker_gcp: unexpected message")
-    ~install:(fun engine ->
-      App_replay.install engine comp
+    ~app:(fun engine net ->
+      App_replay.install engine comp ~net
         ~snapshots:(fun p ->
           List.map
             (fun (state, clock, counts) ->

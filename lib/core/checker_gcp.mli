@@ -23,16 +23,15 @@ open Wcp_sim
 val detect :
   ?network:Network.t ->
   ?recorder:Wcp_obs.Recorder.t ->
-  ?options:Detection.options ->
   seed:int64 ->
   channels:Gcp.channel_predicate list ->
   Computation.t ->
   Spec.t ->
   Detection.result
-(** [options] as in {!Token_vc.detect}, with one restriction:
-    [options.slice] requires [channels = []] — channel predicates count
-    in-flight application messages, which a slice's synthetic skeleton
-    does not preserve.
+(** Snapshots ship dense: the GCP checker has no delta encoding.
+    Only the pure-WCP instance ([channels = []]) may run on a slice
+    ({!Run_common.with_slice} with [keep_rest], the cut spanning all
+    [N]): channel predicates count in-flight application messages,
+    which a slice's synthetic skeleton does not preserve.
     @raise Invalid_argument if a channel predicate is not count-based
-    ({!Gcp.count_based}) or names an unknown process, or if
-    [options.slice] is set with a non-empty [channels]. *)
+    ({!Gcp.count_based}) or names an unknown process. *)

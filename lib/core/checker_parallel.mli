@@ -17,8 +17,8 @@
     this, DESIGN.md §11 gives the work/span argument).
 
     No discrete-event engine runs underneath: snapshot streams are
-    priced at the same wire costs (same encoder, same gating/delta
-    options, same bits), but [sim_time] is 0 and there are no
+    priced at the same wire costs (same gated streams, same encoder,
+    same bits), but [sim_time] is 0 and there are no
     network/fault knobs. [Stats] carries the per-round counters
     (rounds, max frontier breadth, work items) via
     [Stats.set_parallel]. *)
@@ -32,10 +32,9 @@ val detect :
   Spec.t ->
   Detection.result
 (** [domains] defaults to {!Wcp_util.Parallel.default_domains} and is
-    clamped to the spec width; [d < 1] is an [Invalid_argument]. All
-    of {!Detection.options} compose: [slice] restricts to the slice
-    first (cut remapped back like every other detector), [gated] and
-    [delta] select the snapshot encoding. [seed] is ignored — the
+    clamped to the spec width; [d < 1] is an [Invalid_argument].
+    [options.delta] selects the snapshot encoding, as for
+    {!Checker_centralized.detect}. [seed] is ignored — the
     algorithm is deterministic — and exists only so all six detectors
     share a call shape. When a [recorder] is attached the run emits
     [Run_meta], per-elimination [Hb_eliminated], per-round

@@ -6,12 +6,9 @@ type outcome =
   | No_detection
   | Undetectable_crashed of int list
 
-type options = { gated : bool; delta : bool; slice : bool }
+type options = { delta : bool }
 
-let default_options = { gated = true; delta = true; slice = false }
-
-let options ?(gated = true) ?(delta = true) ?(slice = false) () =
-  { gated; delta; slice }
+let default_options = { delta = true }
 
 type extras = { token_hops : int; polls : int; snapshots : int; merges : int }
 

@@ -21,24 +21,14 @@ type outcome =
           decide the predicate. Reported instead of hanging. *)
 
 type options = {
-  gated : bool;
-      (** interval-gated snapshots: ship at most one candidate per
-          message interval (sound, see {!Snapshot.vc_stream}) *)
   delta : bool;
       (** delta/packed wire encoding and accounting (DESIGN.md §9) *)
-  slice : bool;
-      (** run the detector on the computation slice (DESIGN.md §10)
-          and map the detected cut back to dense coordinates *)
 }
-(** Per-run knobs shared by every detector entry point. Declared once
-    here so the flags cannot drift between algorithms (they used to be
-    re-threaded through each [detect] signature separately). *)
+(** Per-run knobs shared by every detector entry point. Slicing is not
+    one of them: it runs before any detector, see {!Detectors.sliced}. *)
 
 val default_options : options
-(** [{ gated = true; delta = true; slice = false }]. *)
-
-val options : ?gated:bool -> ?delta:bool -> ?slice:bool -> unit -> options
-(** {!default_options} with individual fields overridden. *)
+(** [{ delta = true }]. *)
 
 type extras = {
   token_hops : int;  (** times the token changed monitor *)

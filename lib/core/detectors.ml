@@ -70,5 +70,9 @@ let find name =
         (Printf.sprintf "unknown detection algorithm %S (want one of %s)" name
            (String.concat ", " names))
 
+let sliced d ?fault ?recorder ~options ~groups ?domains ~seed comp spec =
+  Run_common.with_slice ?recorder ~keep_rest:d.keep_rest comp spec
+    ~run:(d.run ?fault ?recorder ~options ~groups ?domains ~seed)
+
 let spec_outcome d spec outcome =
   if d.keep_rest then Detection.project_outcome spec outcome else outcome

@@ -35,8 +35,10 @@ type t = {
           [Run_meta] event *)
   keep_rest : bool;
       (** the detected cut spans all [N] processes, not just the spec:
-          a slice must keep every state of the non-spec processes, and
-          comparing against the oracle needs {!spec_outcome} *)
+          a slice must keep every state of the non-spec processes (the
+          policy {!sliced}, [detect --stream] and served sessions
+          slice with), and comparing against the oracle needs
+          {!spec_outcome} *)
   online : bool;
       (** the streaming service eliminates candidates as events are fed
           and holds the cut at its completing event; otherwise it runs
@@ -52,6 +54,13 @@ val names : string list
 
 val find : string -> (t, string) result
 (** The error names the unknown algorithm and lists {!names}. *)
+
+val sliced : t -> run
+(** [sliced d] is [d]'s run on the computation slice: the one dense
+    slice → detect → remap step ({!Run_common.with_slice} with
+    [d.keep_rest]). Same outcome as [d.run], in dense coordinates;
+    fewer events replayed (bench E17). [recorder] also gets the
+    ["slice"] phase mark. *)
 
 val spec_outcome : t -> Spec.t -> Detection.outcome -> Detection.outcome
 (** The outcome restricted to the spec processes: {!Detection.project_outcome}

@@ -14,19 +14,15 @@ type t = {
   clock : int array;  (* Vc mode: the n-entry projected vector clock *)
   mutable scalar : int;  (* 1-based local state index (both modes) *)
   deps : Dependence.accumulator;  (* Dd mode: since the last snapshot *)
-  encoder : Wire.snap_encoder option;  (* Vc mode delta channel state *)
-  delta : bool;  (* Dd mode: pack snapshot dependences on the wire *)
+  encoder : Wire.snap_encoder;  (* Vc mode delta channel state *)
   mutable firstflag : bool;
-  gated : bool;
   mutable gate_open : bool;
       (* true iff a send happened since the last emitted snapshot (or
          none was ever emitted): the interval-gating condition. *)
   mutable finished : bool;
 }
 
-let create ?(options = Detection.default_options) ~mode ~n_app ~wcp_procs
-    ~proc () =
-  let { Detection.gated; delta; slice = _ } = options in
+let create ~mode ~n_app ~wcp_procs ~proc =
   if proc < 0 || proc >= n_app then invalid_arg "Instrument.create: bad proc";
   let width = Array.length wcp_procs in
   if width = 0 then invalid_arg "Instrument.create: empty WCP";
@@ -49,13 +45,8 @@ let create ?(options = Detection.default_options) ~mode ~n_app ~wcp_procs
     clock;
     scalar = 1;
     deps = Dependence.create_accumulator ();
-    encoder =
-      (match mode with
-      | Vc when delta -> Some (Wire.snap_encoder ~width)
-      | Vc | Dd -> None);
-    delta;
+    encoder = Wire.snap_encoder ~width;
     firstflag = true;
-    gated;
     gate_open = true;
     finished = false;
   }
@@ -68,16 +59,8 @@ let monitor_id t = Run_common.monitor_of ~n:t.n_app t.proc
 
 let snapshot_message t =
   match t.mode with
-  | Vc -> (
-      match t.encoder with
-      | Some enc -> Wire.encode_snap enc ~state:t.scalar t.clock
-      | None ->
-          Messages.Snap_vc
-            { Snapshot.state = t.scalar; clock = Array.copy t.clock })
-  | Dd ->
-      let deps = Dependence.drain t.deps in
-      if t.delta then Wire.encode_dd ~state:t.scalar deps
-      else Messages.Snap_dd { Snapshot.state = t.scalar; deps }
+  | Vc -> Wire.encode_snap t.encoder ~state:t.scalar t.clock
+  | Dd -> Wire.encode_dd ~state:t.scalar (Dependence.drain t.deps)
 
 let spec_width t = match t.mode with Vc -> t.width | Dd -> 1
 
@@ -93,7 +76,7 @@ let emit t ctx =
    interval gating (ship only if a send happened since the last shipped
    snapshot; the very first snapshot always ships because the gate
    starts open). *)
-let may_emit t = t.firstflag && ((not t.gated) || t.gate_open)
+let may_emit t = t.firstflag && t.gate_open
 
 let predicate_true t ctx =
   if t.spec_index >= 0 && may_emit t then emit t ctx

@@ -38,34 +38,23 @@ type tag = Messages.tag
 type t
 
 val create :
-  ?options:Detection.options ->
-  mode:mode ->
-  n_app:int ->
-  wcp_procs:int array ->
-  proc:int ->
-  unit ->
-  t
+  mode:mode -> n_app:int -> wcp_procs:int array -> proc:int -> t
 (** One instrument per application process. [wcp_procs]: sorted,
     distinct ids of the processes carrying local predicates.
 
-    [options] (default {!Detection.default_options}) carries the same
-    shared knobs as the [detect] entry points; [options.slice] is
-    ignored here (live slicing is the monitor side's business, via
-    {!Wcp_slice.Slice.Incremental}).
+    Snapshots are interval-gated: one is shipped only when the process
+    has performed a send since the last shipped snapshot (the first
+    one always ships). Dropping the other candidates never changes the
+    detected cut — see {!Snapshot.vc_stream} for the argument — and in
+    [Dd] mode their direct dependences stay in the accumulator and
+    ride along with the next shipped snapshot.
 
-    [options.gated] enables interval gating: a snapshot is shipped
-    only when the process has performed a send since the last shipped
-    snapshot (the first one always ships). Dropping the other
-    candidates never changes the detected cut — see
-    {!Snapshot.vc_stream} for the argument — and in [Dd] mode their
-    direct dependences stay in the accumulator and ride along with the
-    next shipped snapshot.
-
-    [options.delta] ships snapshots encoded: hybrid delta/dense over
-    the FIFO channel to the monitor in [Vc] mode ({!Wire.encode_snap}),
-    packed dependence words in [Dd] mode ({!Wire.encode_dd}); the
+    Snapshots ship encoded: hybrid delta/dense over the FIFO channel
+    to the monitor in [Vc] mode ({!Wire.encode_snap}), packed
+    dependence words in [Dd] mode ({!Wire.encode_dd}); the
     {!Token_vc.install} / {!Token_dd.install} monitors decode every
-    form transparently. *)
+    form transparently. Live slicing is the monitor side's business
+    ({!Wcp_slice.Slice.Incremental}). *)
 
 val state_index : t -> int
 (** Current local state (1-based interval index). *)

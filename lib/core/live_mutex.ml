@@ -48,7 +48,7 @@ let run ?(p_bug = 0.0) ~mode ~clients ~rounds ~seed () =
     | None -> failwith "Live_mutex: unknown message key"
   in
   let instruments =
-    Array.init n (fun proc -> Instrument.create ~mode ~n_app:n ~wcp_procs ~proc ())
+    Array.init n (fun proc -> Instrument.create ~mode ~n_app:n ~wcp_procs ~proc)
   in
   let send_app ctx ~src ~dst ~kind =
     let key = record_send ~src ~dst in

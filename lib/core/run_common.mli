@@ -210,7 +210,8 @@ val with_source :
     built straight from a streaming cursor, so detection over an mmap'd
     {!Wcp_trace.Btrace} reader never materialises the dense run.
     [keep_rest] is [true] for the algorithms whose cuts span all [N]
-    processes (direct dependence, GCP). *)
+    processes (direct dependence, GCP); for the six detectors it is
+    {!Detectors.t}'s [keep_rest]. *)
 
 val with_slice :
   ?recorder:Wcp_obs.Recorder.t ->
@@ -220,6 +221,6 @@ val with_slice :
   run:(Computation.t -> Spec.t -> Detection.result) ->
   Detection.result
 (** {!with_source} over {!Computation.Stream.of_computation}, so the
-    dense and streamed paths agree cut-for-cut. Every
-    [detect ?options] entry point with [options.slice = true] is this
-    wrapper around its dense self. *)
+    dense and streamed paths agree cut-for-cut. {!Detectors.sliced} is
+    this wrapper around a detector's run, with its row's
+    [keep_rest]. *)

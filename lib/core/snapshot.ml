@@ -45,10 +45,9 @@ let dd_candidates comp spec ~proc =
   if Spec.mem spec proc then Computation.candidates comp proc
   else List.init (Computation.num_states comp proc) (fun k -> k + 1)
 
-let dd_stream ?(gated = true) comp spec ~proc =
-  let candidates = dd_candidates comp spec ~proc in
+let dd_stream comp spec ~proc =
   let candidates =
-    if gated then gate_candidates comp ~proc candidates else candidates
+    gate_candidates comp ~proc (dd_candidates comp spec ~proc)
   in
   (* Walk states 1..last candidate, accumulating the dependence
      recorded at each state entry; drain the accumulator into each

@@ -28,7 +28,9 @@ type dd = { state : int; deps : Dependence.t list }
 
 val vc_stream : ?gated:bool -> Computation.t -> Spec.t -> proc:int -> vc list
 (** Snapshots emitted by spec process [proc]: one per predicate-true
-    state, thinned by interval gating when [gated] (the default).
+    state, thinned by interval gating when [gated] (the default; every
+    detector ships gated streams, and [~gated:false] is the test
+    suite's reference for the thinning).
 
     Gating ships a candidate only if the process performed a send since
     the previously shipped candidate (the first candidate always
@@ -41,12 +43,12 @@ val vc_stream : ?gated:bool -> Computation.t -> Spec.t -> proc:int -> vc list
     cut never needs [c']. Detected outcome and cut are unchanged; only
     message and bit counts drop. *)
 
-val dd_stream : ?gated:bool -> Computation.t -> Spec.t -> proc:int -> dd list
+val dd_stream : Computation.t -> Spec.t -> proc:int -> dd list
 (** Snapshots emitted by process [proc] under the direct-dependence
     algorithm. All [N] processes participate (§4); processes outside
     the spec have the trivially-true predicate, so {e every} state of
-    theirs is a candidate. Interval gating (on by default, see
-    {!vc_stream}) applies here too; the dependences recorded at skipped
+    theirs is a candidate. Interval gating (see {!vc_stream}) applies
+    here too; the dependences recorded at skipped
     candidates fold into the next shipped snapshot, so no causal
     information is lost. *)
 

@@ -369,16 +369,10 @@ let check_invariants comp ~g ~color ~next_red ~next =
         (Printf.sprintf "Lemma 4.2(3) violated: red monitor %d off the chain" i)
   done
 
-let rec detect ?network ?fault ?recorder ?(parallel = false)
+let detect ?network ?fault ?recorder ?(parallel = false)
     ?(invariant_checks = false) ?start_at ?(options = Detection.default_options)
     ~seed comp spec =
-  if options.Detection.slice then
-    Run_common.with_slice ?recorder ~keep_rest:true comp spec ~run:(fun sliced spec' ->
-        detect ?network ?fault ?recorder ~parallel ~invariant_checks ?start_at
-          ~options:{ options with Detection.slice = false }
-          ~seed sliced spec')
-  else
-  let { Detection.gated; delta; slice = _ } = options in
+  let delta = options.Detection.delta in
   let n = Computation.n comp in
   let hops = ref 0 in
   let polls = ref 0 in
@@ -408,7 +402,7 @@ let rec detect ?network ?fault ?recorder ?(parallel = false)
                 ( (s.state : int),
                   if delta then Wire.encode_dd ~state:s.state s.deps
                   else Messages.Snap_dd s ))
-              (Snapshot.dd_stream ~gated comp spec ~proc:p))
+              (Snapshot.dd_stream comp spec ~proc:p))
           ~snapshot_dst:(fun p -> Some (Run_common.monitor_of ~n p))
           ~spec_width:1 ())
   in

@@ -105,9 +105,9 @@ val detect :
     [options] as in {!Token_vc.detect}; for this algorithm [delta]
     packs §4.1 snapshot dependences ({!Wire.encode_dd}) and prices
     polls at their packed size ({!Wire.poll_bits}) — red-chain
-    prefetch/poll traffic included ([~parallel:true], experiment E8) —
-    and [slice] keeps {e every} state of non-spec processes (the cut
-    spans all [N]).
+    prefetch/poll traffic included ([~parallel:true], experiment E8).
+    Because the cut spans all [N], its slice ({!Detectors.sliced})
+    keeps {e every} state of the non-spec processes.
     [invariant_checks] re-validates Lemma 4.2(1-3) against the recorded
     computation at every commit point (sequential mode only; the
     statements quantify over quiescent protocol states, which

@@ -13,14 +13,8 @@ type leader = {
 
 type assignment = Round_robin | Blocks
 
-let rec detect ?network ?fault ?recorder ?(assignment = Round_robin)
+let detect ?network ?fault ?recorder ?(assignment = Round_robin)
     ?(options = Detection.default_options) ~groups ~seed comp spec =
-  if options.Detection.slice then
-    Run_common.with_slice ?recorder ~keep_rest:false comp spec ~run:(fun sliced spec' ->
-        detect ?network ?fault ?recorder ~assignment
-          ~options:{ options with Detection.slice = false }
-          ~groups ~seed sliced spec')
-  else
   let n = Computation.n comp in
   let width = Spec.width spec in
   if groups < 1 || groups > width then
@@ -136,7 +130,9 @@ let rec detect ?network ?fault ?recorder ?(assignment = Round_robin)
   let result =
     Run_common.replay ?network ?fault ?recorder ~seed ~algo:"multi-token"
       ~width comp ~monitors
-      ~app:(Token_vc.application options comp spec)
+      ~app:
+        (App_replay.vc ~delta:options.Detection.delta
+           ~dst:(Run_common.monitor_of ~n) comp spec)
   in
   {
     result with

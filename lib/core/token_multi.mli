@@ -46,7 +46,7 @@ val detect :
     a watchdog on every forward (one per monitor, one per group at the
     leader), graceful [Undetectable_crashed] degradation, and
     checkpointed crash recovery for the group monitors under
-    [Fault.Restart] windows (the leader is not restartable). [options] as in {!Token_vc.detect}: wire encoding
-    ([delta]), interval gating ([gated]) and computation slicing
-    ([slice]); detection behaviour identical under every setting.
+    [Fault.Restart] windows (the leader is not restartable).
+    [options] as in {!Token_vc.detect}: the wire encoding ([delta])
+    changes bits only, never detection behaviour.
     @raise Invalid_argument if [groups < 1] or [groups > Spec.width]. *)

@@ -329,29 +329,8 @@ let install engine ~n_app ~wcp_procs ?net ?watchdog ?check ?recovery
 
 let start = Run_common.start
 
-let application (options : Detection.options) comp spec engine net =
-  let n = Computation.n comp in
-  App_replay.install engine comp ~net
-    ?app_bits:
-      (if options.Detection.delta then Some (Wire.replay_app_bits comp spec)
-       else None)
-    ~snapshots:(fun p ->
-      if Spec.mem spec p then
-        Wire.encoded_stream ~gated:options.Detection.gated
-          ~delta:options.Detection.delta comp spec ~proc:p
-      else [])
-    ~snapshot_dst:(fun p ->
-      if Spec.mem spec p then Some (Run_common.monitor_of ~n p) else None)
-    ~spec_width:(Spec.width spec) ()
-
-let rec detect ?network ?fault ?recorder ?(invariant_checks = false) ?start_at
+let detect ?network ?fault ?recorder ?(invariant_checks = false) ?start_at
     ?(options = Detection.default_options) ~seed comp spec =
-  if options.Detection.slice then
-    Run_common.with_slice ?recorder ~keep_rest:false comp spec ~run:(fun sliced spec' ->
-        detect ?network ?fault ?recorder ~invariant_checks ?start_at
-          ~options:{ options with Detection.slice = false }
-          ~seed sliced spec')
-  else
   let hops = ref 0 in
   let snapshots = ref 0 in
   let check =
@@ -365,7 +344,10 @@ let rec detect ?network ?fault ?recorder ?(invariant_checks = false) ?start_at
           ~net:w.Run_common.net ?watchdog:(w.Run_common.watchdog ()) ?check
           ?recovery:w.Run_common.recovery ?start_at
           ~delta:options.Detection.delta ~outcome ~hops ~snapshots ())
-      ~app:(application options comp spec)
+      ~app:
+        (App_replay.vc ~delta:options.Detection.delta
+           ~dst:(Run_common.monitor_of ~n:(Computation.n comp))
+           comp spec)
   in
   {
     result with

@@ -21,7 +21,7 @@
     {2 Two ways to run it}
 
     {!detect} replays a recorded computation ({!Run_common.replay},
-    with {!application} as the application side). {!install} +
+    with {!App_replay.vc} as the application side). {!install} +
     {!start} wire only the monitor side into an engine, for {e live}
     monitoring: application processes instrumented with {!Instrument}
     feed the monitors directly, the paper's Fig. 1 deployment.
@@ -133,17 +133,6 @@ val routed :
     {!hop} (for a leader that sends tokens of its own) and the start
     token injected at a spec index. *)
 
-val application :
-  Detection.options ->
-  Computation.t ->
-  Spec.t ->
-  Messages.t Engine.t ->
-  Run_common.net ->
-  unit
-(** The offline application side of a run ({!Run_common.replay}'s
-    [app]): {!App_replay} of the spec processes' Fig. 2 snapshot
-    streams to their monitors. *)
-
 val detect :
   ?network:Network.t ->
   ?fault:Fault.plan ->
@@ -184,8 +173,7 @@ val detect :
     and charge uses the dense formulas — the E16 baseline. The flag
     changes no message {e counts} and no RNG draws, so outcome,
     detected cut, hops and snapshot counts are identical across both
-    settings; only [bits] differs. [options.gated] toggles interval
-    gating of the snapshot streams. [options.slice] first slices the
-    computation ({!Run_common.with_slice}, keeping only spec-process
-    anchors), detects on the slice, and remaps the cut back to dense
-    coordinates — same outcome, fewer events examined (bench E17). *)
+    settings; only [bits] differs. Snapshot streams are always
+    interval-gated ({!Snapshot.vc_stream}). To detect on the
+    computation slice, run the detector through
+    {!Detectors.sliced}. *)

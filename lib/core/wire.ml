@@ -125,13 +125,12 @@ let poll_bits ~clock ~next_red =
   let nr = match next_red with None -> 0 | Some p -> p + 1 in
   if clock >= 0 && clock < 0x20_0000 && nr < 0x800 then word else word * 2
 
-(* Each spec process's snapshot stream as replay-ready
-   (state, message) pairs, interval-gated when [gated] and
-   hybrid-encoded when [delta]. Shared by the three vc-family
-   detectors. *)
-let encoded_stream ?(gated = true) ~delta comp spec ~proc =
+(* Each spec process's interval-gated snapshot stream as replay-ready
+   (state, message) pairs, hybrid-encoded when [delta]. Shared by the
+   three vc-family detectors. *)
+let encoded_stream ~delta comp spec ~proc =
   let width = Spec.width spec in
-  let stream = Snapshot.vc_stream ~gated comp spec ~proc in
+  let stream = Snapshot.vc_stream comp spec ~proc in
   if delta then
     let enc = snap_encoder ~width in
     List.map

@@ -93,16 +93,11 @@ val poll_bits : clock:int -> next_red:int option -> int
     are materialised as {!Messages.Poll} either way. *)
 
 val encoded_stream :
-  ?gated:bool ->
-  delta:bool ->
-  Computation.t ->
-  Spec.t ->
-  proc:int ->
-  (int * Messages.t) list
-(** The {!Snapshot.vc_stream} of a spec process as replay-ready
-    [(state, message)] pairs — interval-gated when [gated] (default
-    [true]), hybrid-encoded when [delta], dense {!Messages.Snap_vc}
-    otherwise. Shared by the vc-family detectors. *)
+  delta:bool -> Computation.t -> Spec.t -> proc:int -> (int * Messages.t) list
+(** The interval-gated {!Snapshot.vc_stream} of a spec process as
+    replay-ready [(state, message)] pairs — hybrid-encoded when
+    [delta], dense {!Messages.Snap_vc} otherwise. Shared by the
+    vc-family detectors. *)
 
 (** {2 Token wire-size meter} *)
 

@@ -219,22 +219,6 @@ let ensure_stage t bytes =
   if Bytes.length t.sp_stage < bytes then
     t.sp_stage <- Bytes.create (max bytes 65536)
 
-let set_u64 b off v =
-  for k = 0 to 7 do
-    Bytes.unsafe_set b (off + k) (Char.unsafe_chr ((v lsr (8 * k)) land 0xff))
-  done
-
-let get_u64 b off =
-  let byte k = Char.code (Bytes.unsafe_get b (off + k)) in
-  byte 0
-  lor (byte 1 lsl 8)
-  lor (byte 2 lsl 16)
-  lor (byte 3 lsl 24)
-  lor (byte 4 lsl 32)
-  lor (byte 5 lsl 40)
-  lor (byte 6 lsl 48)
-  lor (byte 7 lsl 56)
-
 let fd_write_all fd b pos len =
   let off = ref pos and left = ref len in
   while !left > 0 do
@@ -261,8 +245,8 @@ let spill_write t ~words ~metas pos count =
   let bytes = count * event_bytes in
   ensure_stage t bytes;
   for i = 0 to count - 1 do
-    set_u64 t.sp_stage (i * event_bytes) words.(pos + i);
-    set_u64 t.sp_stage ((i * event_bytes) + 8) metas.(pos + i)
+    Frame.write_event t.sp_stage (i * event_bytes) ~word:words.(pos + i)
+      ~meta:metas.(pos + i)
   done;
   ignore (Unix.lseek fd t.sp_wbytes Unix.SEEK_SET : int);
   fd_write_all fd t.sp_stage 0 bytes;
@@ -275,8 +259,8 @@ let spill_read t ~into_w ~into_m pos count =
   ignore (Unix.lseek fd t.sp_rbytes Unix.SEEK_SET : int);
   fd_read_all fd t.sp_stage 0 bytes;
   for i = 0 to count - 1 do
-    into_w.(pos + i) <- get_u64 t.sp_stage (i * event_bytes);
-    into_m.(pos + i) <- get_u64 t.sp_stage ((i * event_bytes) + 8)
+    into_w.(pos + i) <- Frame.event_word t.sp_stage (i * event_bytes);
+    into_m.(pos + i) <- Frame.event_meta t.sp_stage (i * event_bytes)
   done;
   t.sp_rbytes <- t.sp_rbytes + bytes
 

@@ -35,6 +35,14 @@ let get_u64 b off =
   lor (byte 6 lsl 48)
   lor (hi lsl 56)
 
+let write_event b off ~word ~meta =
+  set_u64 b off word;
+  set_u64 b (off + 8) meta
+
+let event_word b off = get_u64 b off
+
+let event_meta b off = get_u64 b (off + 8)
+
 let set_u32 b off v =
   for k = 0 to 3 do
     Bytes.unsafe_set b (off + k) (Char.unsafe_chr ((v lsr (8 * k)) land 0xff))
@@ -62,9 +70,9 @@ let add_word e ~proc ~pred ~word =
   if e.ecount >= e.ecap then error "frame full (%d events)" e.ecap;
   if word < 0 then error "op word has bit 63 set";
   if proc < 0 then error "negative process id";
-  let off = header_bytes + (event_bytes * e.ecount) in
-  set_u64 e.ebuf off word;
-  set_u64 e.ebuf (off + 8) ((proc lsl 1) lor (if pred then 1 else 0));
+  write_event e.ebuf
+    (header_bytes + (event_bytes * e.ecount))
+    ~word ~meta:((proc lsl 1) lor (if pred then 1 else 0));
   e.ecount <- e.ecount + 1
 
 let add_send e ~proc ~dst ~msg ~pred =
@@ -117,8 +125,8 @@ let decode_events d buf ~pos ~len =
   let stop = pos + len in
   let off = ref pos in
   while !off < stop do
-    let word = get_u64 buf !off in
-    let meta = get_u64 buf (!off + 8) in
+    let word = event_word buf !off in
+    let meta = event_meta buf !off in
     d.on_event ~proc:(meta lsr 1) ~pred:(meta land 1 = 1) ~word;
     off := !off + event_bytes
   done

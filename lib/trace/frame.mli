@@ -34,6 +34,20 @@ val max_frame_events : int
 (** [4096] — the hard cap a decoder enforces; encoders default to
     256. *)
 
+(** {2 Event records} *)
+
+val write_event : Bytes.t -> int -> word:int -> meta:int -> unit
+(** Write one 16-byte event record at byte offset [off]: the op
+    [word], then [meta = (proc lsl 1) lor pred], as little-endian
+    u64s. The frame encoder and the service's spill file both write
+    through it. *)
+
+val event_word : Bytes.t -> int -> int
+
+val event_meta : Bytes.t -> int -> int
+(** The two words of the event record at byte offset [off].
+    @raise Error if the word has bit 63 set. *)
+
 (** {2 Encoding} *)
 
 type encoder

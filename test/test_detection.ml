@@ -268,14 +268,15 @@ let prop_parallel_checker_agrees =
     Helpers.gen_medium_comp (fun comp ->
       let spec = Spec.all comp in
       let expected = Oracle.first_cut comp spec in
+      let parallel = Result.get_ok (Detectors.find "parallel") in
       List.for_all
         (fun slice ->
+          let run = if slice then Detectors.sliced parallel else parallel.run in
           let outcomes =
             List.map
               (fun domains ->
-                (Checker_parallel.detect
-                   ~options:(Detection.options ~slice ())
-                   ~domains ~seed:7L comp spec)
+                (run ~options:Detection.default_options ~groups:1 ~domains
+                   ~seed:7L comp spec)
                   .Detection.outcome)
               [ 1; 2; 4 ]
           in

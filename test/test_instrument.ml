@@ -21,10 +21,10 @@ let with_ctx n f =
 let test_vc_clock_discipline () =
   with_ctx 3 (fun ctx ->
       let wcp_procs = [| 0; 2 |] in
-      let a = Instrument.create ~mode:Instrument.Vc ~n_app:3 ~wcp_procs ~proc:0 () in
-      let c = Instrument.create ~mode:Instrument.Vc ~n_app:3 ~wcp_procs ~proc:2 () in
+      let a = Instrument.create ~mode:Instrument.Vc ~n_app:3 ~wcp_procs ~proc:0 in
+      let c = Instrument.create ~mode:Instrument.Vc ~n_app:3 ~wcp_procs ~proc:2 in
       let relay =
-        Instrument.create ~mode:Instrument.Vc ~n_app:3 ~wcp_procs ~proc:1 ()
+        Instrument.create ~mode:Instrument.Vc ~n_app:3 ~wcp_procs ~proc:1
       in
       Alcotest.(check int) "initial state" 1 (Instrument.state_index a);
       (* a -> relay -> c: the projected clock must flow through the
@@ -43,8 +43,8 @@ let test_vc_clock_discipline () =
 let test_dd_tags () =
   with_ctx 2 (fun ctx ->
       let wcp_procs = [| 0 |] in
-      let a = Instrument.create ~mode:Instrument.Dd ~n_app:2 ~wcp_procs ~proc:0 () in
-      let b = Instrument.create ~mode:Instrument.Dd ~n_app:2 ~wcp_procs ~proc:1 () in
+      let a = Instrument.create ~mode:Instrument.Dd ~n_app:2 ~wcp_procs ~proc:0 in
+      let b = Instrument.create ~mode:Instrument.Dd ~n_app:2 ~wcp_procs ~proc:1 in
       let t1 = Instrument.on_send a ctx in
       (match t1 with
       | Messages.Dd_tag { src = 0; clock = 1 } -> ()
@@ -58,8 +58,8 @@ let test_dd_tags () =
 let test_tag_mismatches () =
   with_ctx 2 (fun ctx ->
       let wcp = [| 0 |] in
-      let vc = Instrument.create ~mode:Instrument.Vc ~n_app:2 ~wcp_procs:wcp ~proc:0 () in
-      let dd = Instrument.create ~mode:Instrument.Dd ~n_app:2 ~wcp_procs:wcp ~proc:1 () in
+      let vc = Instrument.create ~mode:Instrument.Vc ~n_app:2 ~wcp_procs:wcp ~proc:0 in
+      let dd = Instrument.create ~mode:Instrument.Dd ~n_app:2 ~wcp_procs:wcp ~proc:1 in
       (match
          Instrument.on_receive vc ctx ~src:1
            (Messages.Dd_tag { src = 1; clock = 1 })
@@ -83,12 +83,12 @@ let test_create_validation () =
     | _ -> Alcotest.fail "expected rejection"
   in
   bad (fun () ->
-      Instrument.create ~mode:Instrument.Vc ~n_app:2 ~wcp_procs:[||] ~proc:0 ());
+      Instrument.create ~mode:Instrument.Vc ~n_app:2 ~wcp_procs:[||] ~proc:0);
   bad (fun () ->
       Instrument.create ~mode:Instrument.Vc ~n_app:2 ~wcp_procs:[| 1; 0 |]
-        ~proc:0 ());
+        ~proc:0);
   bad (fun () ->
-      Instrument.create ~mode:Instrument.Vc ~n_app:2 ~wcp_procs:[| 0 |] ~proc:7 ())
+      Instrument.create ~mode:Instrument.Vc ~n_app:2 ~wcp_procs:[| 0 |] ~proc:7)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end live monitoring (Fig. 1): online verdict vs the oracle
@@ -210,7 +210,7 @@ let live_client_server ~clients ~requests ~seed =
   let next_key = ref 0 in
   let instr =
     Array.init n (fun proc ->
-        Instrument.create ~mode:Instrument.Vc ~n_app:n ~wcp_procs ~proc ())
+        Instrument.create ~mode:Instrument.Vc ~n_app:n ~wcp_procs ~proc)
   in
   let send_app ctx ~src ~dst ~kind =
     let key = !next_key in

@@ -373,12 +373,12 @@ let test_reduction () =
 
 (* Unlike [test_detectors_agree], which drives [Slice.for_spec] and the
    remap by hand, this sweep goes through the user-facing plumbing:
-   [Detection.options ~slice:true] handed to each detector, whose
-   internal [Run_common.with_slice] must return outcomes already in
-   dense coordinates, over sizes x densities x seeds x full and partial
-   specs. *)
+   [Detectors.sliced] for every detector in the table, and
+   [Run_common.with_slice] for the pure-WCP GCP checker, must return
+   the dense outcome — for the N-wide-cut detectors the whole cut, not
+   its projection, so a wrong [keep_rest] shows — over sizes x
+   densities x seeds x full and partial specs. *)
 let corpus_sweep ~sizes ~densities ~seeds =
-  let sliced_opts = Detection.options ~slice:true () in
   List.iter
     (fun (n, m) ->
       List.iter
@@ -409,37 +409,20 @@ let corpus_sweep ~sizes ~densities ~seeds =
                   let agree name dense sliced =
                     Alcotest.check outcome (here name) dense sliced
                   in
-                  agree "token-vc"
-                    (Token_vc.detect ~seed comp spec).Detection.outcome
-                    (Token_vc.detect ~options:sliced_opts ~seed comp spec)
-                      .Detection.outcome;
-                  let groups = max 1 (w / 2) in
-                  agree "token-multi"
-                    (Token_multi.detect ~groups ~seed comp spec)
-                      .Detection.outcome
-                    (Token_multi.detect ~options:sliced_opts ~groups ~seed
-                       comp spec)
-                      .Detection.outcome;
-                  agree "checker"
-                    (Checker_centralized.detect ~seed comp spec)
-                      .Detection.outcome
-                    (Checker_centralized.detect ~options:sliced_opts ~seed
-                       comp spec)
-                      .Detection.outcome;
-                  let project = Detection.project_outcome spec in
-                  agree "token-dd"
-                    (project (Token_dd.detect ~seed comp spec).Detection.outcome)
-                    (project
-                       (Token_dd.detect ~options:sliced_opts ~seed comp spec)
-                         .Detection.outcome);
-                  agree "checker-gcp"
-                    (project
-                       (Checker_gcp.detect ~seed ~channels:[] comp spec)
-                         .Detection.outcome)
-                    (project
-                       (Checker_gcp.detect ~options:sliced_opts ~seed
-                          ~channels:[] comp spec)
-                         .Detection.outcome))
+                  List.iter
+                    (fun (d : Detectors.t) ->
+                      let outcome_of (run : Detectors.run) =
+                        (run ~options:Detection.default_options
+                           ~groups:(max 1 (w / 2)) ~domains:2 ~seed comp spec)
+                          .Detection.outcome
+                      in
+                      agree d.name (outcome_of d.run)
+                        (outcome_of (Detectors.sliced d)))
+                    Detectors.all;
+                  let gcp = Checker_gcp.detect ~seed ~channels:[] in
+                  agree "checker-gcp" (gcp comp spec).Detection.outcome
+                    (Run_common.with_slice ~keep_rest:true comp spec ~run:gcp)
+                      .Detection.outcome)
                 specs)
             seeds)
         densities)
@@ -480,7 +463,7 @@ let () =
         ] );
       ( "corpus",
         [
-          Alcotest.test_case "options-path smoke" `Quick test_corpus_smoke;
+          Alcotest.test_case "sliced-path smoke" `Quick test_corpus_smoke;
           Alcotest.test_case "full corpus" `Quick test_corpus_full;
         ] );
     ]

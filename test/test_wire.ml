@@ -145,12 +145,10 @@ let test_delta_ablation () =
       let comp = random_comp ~n:6 ~m:10 ~seed in
       let spec = Spec.all comp in
       let a =
-        Token_vc.detect ~options:(Detection.options ~delta:true ()) ~seed comp
-          spec
+        Token_vc.detect ~options:{ Detection.delta = true } ~seed comp spec
       in
       let b =
-        Token_vc.detect ~options:(Detection.options ~delta:false ()) ~seed comp
-          spec
+        Token_vc.detect ~options:{ Detection.delta = false } ~seed comp spec
       in
       Alcotest.(check bool)
         "same outcome" true
