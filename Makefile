@@ -109,30 +109,35 @@ btrace-check:
 # Streaming-service gate (DESIGN.md §13): a real `wcpdetect serve`
 # daemon on a loopback unix socket, fed by real `wcpdetect feed`
 # clients. The served cut must be byte-identical to the offline
-# `wcpdetect detect` cut for every algorithm and size, and a client
-# killed mid-stream must reconnect and finish with the same cut
-# (replay from the server's ack). --sessions 13 (six algorithms at two
-# sizes, plus the reconnect) makes the daemon count its results and
-# exit by itself, so the target cannot leak a server.
+# `wcpdetect detect` cut for every algorithm and size, fed from the
+# text trace and from the btrace the client streams through its cursor,
+# and a client killed mid-stream must reconnect and finish with the
+# same cut (replay from the server's ack). --sessions 25 (six
+# algorithms at two sizes from two formats, plus the reconnect) makes
+# the daemon count its results and exit by itself, so the target
+# cannot leak a server.
 # The same contract runs bounded and in-process inside `make test`
 # (test_serve).
 serve-check:
 	@dune build bin/wcpdetect.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	wcp=_build/default/bin/wcpdetect.exe; \
-	$$wcp serve --listen unix:$$tmp/sock --spool $$tmp --sessions 13 --silent & \
+	$$wcp serve --listen unix:$$tmp/sock --spool $$tmp --sessions 25 --silent & \
 	srv=$$!; \
 	for n in 4 8; do \
 	  $$wcp generate -n $$n -m 12 --p-pred 0.3 --seed $$n -o $$tmp/t$$n.trace >/dev/null; \
+	  $$wcp generate -n $$n -m 12 --p-pred 0.3 --seed $$n -o $$tmp/t$$n.btrace >/dev/null; \
 	  for algo in token-vc multi-token token-dd token-dd-par checker parallel; do \
 	    $$wcp detect $$tmp/t$$n.trace -a $$algo \
 	      | cut -d'|' -f1 | sed 's/[[:space:]]*$$//' > $$tmp/offline.out; \
-	    $$wcp feed $$tmp/t$$n.trace --connect unix:$$tmp/sock -a $$algo \
-	      --session s$$n-$$algo > $$tmp/served.out \
-	      || { echo "serve-check: feed $$algo n=$$n failed"; kill $$srv 2>/dev/null; exit 1; }; \
-	    cmp -s $$tmp/offline.out $$tmp/served.out \
-	      || { echo "serve-check: $$algo n=$$n served cut != offline cut"; kill $$srv 2>/dev/null; exit 1; }; \
-	    echo "serve-check: $$algo n=$$n OK ($$(cat $$tmp/served.out))"; \
+	    for f in trace btrace; do \
+	      $$wcp feed $$tmp/t$$n.$$f --connect unix:$$tmp/sock -a $$algo \
+	        --session s$$n-$$f-$$algo > $$tmp/served.out \
+	        || { echo "serve-check: feed $$algo n=$$n $$f failed"; kill $$srv 2>/dev/null; exit 1; }; \
+	      cmp -s $$tmp/offline.out $$tmp/served.out \
+	        || { echo "serve-check: $$algo n=$$n $$f served cut != offline cut"; kill $$srv 2>/dev/null; exit 1; }; \
+	      echo "serve-check: $$algo n=$$n $$f OK ($$(cat $$tmp/served.out))"; \
+	    done; \
 	  done; \
 	done; \
 	$$wcp feed $$tmp/t8.trace --connect unix:$$tmp/sock -a token-vc \

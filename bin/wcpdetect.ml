@@ -127,6 +127,31 @@ let writing f =
     Printf.eprintf "wcpdetect: %s\n" msg;
     exit 2
 
+(* A call's output files are created before any work starts, so a path
+   that cannot be written fails the call before it prints a verdict. A
+   file that exists keeps its contents until it is written; one the
+   call created is removed again if the call exits before writing it. *)
+let unwritten = ref []
+
+let () =
+  at_exit (fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !unwritten)
+
+let create_outputs paths =
+  List.iter
+    (fun path ->
+      if path <> "-" then begin
+        let fresh = not (Sys.file_exists path) in
+        writing (fun () ->
+            close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 path));
+        if fresh then unwritten := path :: !unwritten
+      end)
+    paths
+
+let write_output path data =
+  writing (fun () -> Wcp_obs.Export.write_file path data);
+  unwritten := List.filter (( <> ) path) !unwritten
+
 let emit_trace out comp =
   match out with
   | "-" -> print_string (Trace_codec.encode comp)
@@ -504,7 +529,7 @@ let write_trace recorder ~path ~format =
   let data = render_events format events in
   if path = "-" then print_string data
   else begin
-    writing (fun () -> Wcp_obs.Export.write_file path data);
+    write_output path data;
     let dropped = Wcp_obs.Recorder.dropped recorder in
     Printf.printf "trace: %d events -> %s%s\n" (Array.length events) path
       (if dropped > 0 then
@@ -557,8 +582,7 @@ let setup_metrics ~recorder ~metrics_out ~metrics_every =
           Wcp_obs.Telemetry.close tel;
           if path = "-" then print_string (Buffer.contents buf)
           else begin
-            writing (fun () ->
-                Wcp_obs.Export.write_file path (Buffer.contents buf));
+            write_output path (Buffer.contents buf);
             Printf.printf "metrics: %d lines -> %s\n"
               (Wcp_obs.Telemetry.lines tel)
               path
@@ -615,6 +639,7 @@ let detect_cmd =
       fault_plan ~trace ~algo ~n ~procs ~drop ~dup ~crashes ~restarts
         ~fault_seed
     in
+    let outputs = Option.to_list trace_out @ Option.to_list metrics_out in
     let recorder =
       match trace_out with
       | None -> None
@@ -646,6 +671,7 @@ let detect_cmd =
         let n = Btrace.num_processes reader in
         let procs_arr = procs_of ~trace ~n procs in
         let fault = plan ~n ~procs:procs_arr in
+        create_outputs outputs;
         try
           Some
             (Run_common.with_source ?recorder ~keep_rest:d.keep_rest
@@ -664,6 +690,7 @@ let detect_cmd =
         let comp = load_trace trace in
         let spec = spec_of ~trace comp procs in
         let fault = plan ~n:(Computation.n comp) ~procs:(Spec.procs spec) in
+        create_outputs outputs;
         run_algo ?fault ?recorder ~slice algo ~groups ~seed comp spec
       end
     in
@@ -715,6 +742,7 @@ let trace_cmd =
       fault_plan ~trace ~algo ~n:(Computation.n comp) ~procs:(Spec.procs spec)
         ~drop ~dup ~crashes ~restarts ~fault_seed
     in
+    create_outputs (out :: Option.to_list metrics_out);
     let recorder = Wcp_obs.Recorder.create () in
     let _, finish_metrics =
       setup_metrics ~recorder:(Some recorder) ~metrics_out ~metrics_every
@@ -1198,6 +1226,8 @@ let chaos_cmd =
       fault_plan ~trace ~algo ~n:(Computation.n comp) ~procs:(Spec.procs spec)
         ~drop ~dup ~crashes ~restarts ~fault_seed
     in
+    let d = detector_or_die "chaos" algo in
+    create_outputs (Option.to_list trace_out @ Option.to_list metrics_out);
     let recorder =
       match trace_out with
       | None -> None
@@ -1206,7 +1236,6 @@ let chaos_cmd =
     let recorder, finish_metrics =
       setup_metrics ~recorder ~metrics_out ~metrics_every
     in
-    let d = detector_or_die "chaos" algo in
     let r =
       d.run ?fault ?recorder ~options:Detection.default_options ~groups ~seed
         comp spec

@@ -159,11 +159,17 @@ module Json = struct
         incr pos
       done;
       let tok = String.sub s start (!pos - start) in
-      if !is_float then Float (float_of_string tok)
-      else
-        match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> Float (float_of_string tok)
+      let bad what =
+        pos := start;
+        fail "%s" what
+      in
+      if tok = "" then bad (Printf.sprintf "unexpected character %C" s.[start]);
+      match if !is_float then None else int_of_string_opt tok with
+      | Some i -> Int i
+      | None -> (
+          match float_of_string_opt tok with
+          | Some f -> Float f
+          | None -> bad (Printf.sprintf "bad number %S" tok))
     in
     let string_lit () =
       expect '"';
@@ -200,8 +206,17 @@ module Json = struct
              | 'b' -> Buffer.add_char buf '\b'
              | 'f' -> Buffer.add_char buf '\012'
              | 'u' ->
-                 if !pos + 4 >= len then fail "bad \\u escape";
-                 let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
+                 let hex = String.sub s (!pos + 1) (min 4 (len - !pos - 1)) in
+                 let is_hex = function
+                   | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                   | _ -> false
+                 in
+                 if String.length hex < 4 || not (String.for_all is_hex hex)
+                 then begin
+                   decr pos;
+                   fail "bad \\u escape %S" hex
+                 end;
+                 let code = int_of_string ("0x" ^ hex) in
                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
                  else fail "non-ASCII \\u escape unsupported";
                  pos := !pos + 4
@@ -514,7 +529,6 @@ let decode_range s ~pos ~len =
   match of_json (Json.parse_range s ~pos ~len) with
   | e -> Ok e
   | exception Json.Error m -> Error m
-  | exception Failure m -> Error m
 
 let decode_line line = decode_range line ~pos:0 ~len:(String.length line)
 

@@ -46,7 +46,9 @@ module Json : sig
   val to_string : t -> string
 
   val parse : string -> t
-  (** @raise Error on malformed input or trailing garbage. *)
+  (** @raise Error on malformed input or trailing garbage, and on
+      nothing else: the message names the byte offset and, for a bad
+      number or [\u] escape, the offending token. *)
 
   val parse_range : string -> pos:int -> len:int -> t
   (** {!parse} of [s.[pos .. pos+len-1]] without copying the range out

@@ -225,7 +225,6 @@ let decode_line line =
   match of_json (parse line) with
   | l -> Ok l
   | exception Error m -> Result.Error m
-  | exception Failure m -> Result.Error m
 
 let decode src =
   let lines = String.split_on_char '\n' src in

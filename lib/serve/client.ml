@@ -14,53 +14,6 @@ type outcome = {
 
 type verdict = Completed of outcome | Killed of int
 
-(* The same causally consistent order Slice.of_source uses: round-robin
-   over processes, each blocked on its next receive until the matching
-   send went out. [emit] sees every event exactly once, in order, as
-   plain integers ([kind] 0 = send, 1 = receive; [dst] is 0 for
-   receives) — the hot path stays allocation-free. *)
-let linearize (src : Computation.Stream.source) ~emit =
-  let n = src.Computation.Stream.src_n in
-  let nops = Array.init n src.Computation.Stream.num_ops in
-  let cursor = Array.make n 0 in
-  let states = Array.make n 1 in
-  let sent : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for p = 0 to n - 1 do
-      let continue = ref true in
-      while !continue do
-        if cursor.(p) >= nops.(p) then continue := false
-        else
-          match src.Computation.Stream.op ~proc:p ~k:cursor.(p) with
-          | Computation.Send { dst; msg } ->
-              states.(p) <- states.(p) + 1;
-              Hashtbl.replace sent msg ();
-              emit ~proc:p ~kind:0 ~dst ~msg
-                ~pred:(src.Computation.Stream.pred ~proc:p ~state:states.(p));
-              cursor.(p) <- cursor.(p) + 1;
-              progress := true
-          | Computation.Recv { msg } ->
-              if Hashtbl.mem sent msg then begin
-                Hashtbl.remove sent msg;
-                states.(p) <- states.(p) + 1;
-                emit ~proc:p ~kind:1 ~dst:0 ~msg
-                  ~pred:
-                    (src.Computation.Stream.pred ~proc:p ~state:states.(p));
-                cursor.(p) <- cursor.(p) + 1;
-                progress := true
-              end
-              else continue := false
-      done
-    done
-  done;
-  Array.iteri
-    (fun p c ->
-      if c <> nops.(p) then
-        failwith "Client: computation not drained (unmatched receive)")
-    cursor
-
 exception Abort of string
 
 exception Killed_exn of int
@@ -180,6 +133,7 @@ let run_once ~frames ~batch ~rate ~kill_after ~retry ~metrics_every
           | Protocol.Binary -> Frame.count enc
           | Protocol.Jsonl -> !jcount
         in
+        (* [kind] 0 = send, 1 = receive; [dst] is 0 for receives. *)
         let emit ~proc ~kind ~dst ~msg ~pred =
           if !idx >= acked then begin
             (match frames with
@@ -202,7 +156,11 @@ let run_once ~frames ~batch ~rate ~kill_after ~retry ~metrics_every
           end;
           incr idx
         in
-        (match linearize src ~emit with
+        (match
+           Computation.Stream.walk src
+             ~send:(fun ~proc ~dst ~msg ~pred -> emit ~proc ~kind:0 ~dst ~msg ~pred)
+             ~receive:(fun ~proc ~msg ~pred -> emit ~proc ~kind:1 ~dst:0 ~msg ~pred)
+         with
         | () -> ()
         | exception Killed_exn k ->
             finally ();
@@ -233,6 +191,14 @@ let run_once ~frames ~batch ~rate ~kill_after ~retry ~metrics_every
           finally ();
           Ok (Completed o)
       | exception Killed_exn k -> Ok (Killed k)
+      (* A run the walk refuses leaves its session as a killed client
+         does: the connection drops without a finish. *)
+      | exception Btrace.Corrupt m ->
+          finally ();
+          Error ("btrace: " ^ m)
+      | exception Computation.Invalid m ->
+          finally ();
+          Error ("invalid computation: " ^ m)
       | exception Abort m ->
           finally ();
           Error m
@@ -241,10 +207,7 @@ let run_once ~frames ~batch ~rate ~kill_after ~retry ~metrics_every
           Error "server closed the connection"
       | exception Unix.Unix_error (e, fn, _) ->
           finally ();
-          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-      | exception Failure m ->
-          finally ();
-          Error m)
+          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
 
 (* A [session_busy] refusal comes before any event is sent, so trying
    again is safe; it only outlasts [retry] if another client really

@@ -2,14 +2,15 @@
     service and collect the result — the library behind
     [wcpdetect feed] and the loopback tests/benches.
 
-    The event order is the {e canonical linearization}: round-robin
-    over processes, each blocking on its next receive until the
-    matching send has been emitted — exactly the order
-    [Slice.of_source] feeds the offline slicer, so the server's
-    incremental slice (and hence the served cut) is identical to the
-    offline one by construction. Because the order is deterministic,
-    reconnecting is just replaying it and skipping the
-    [welcome.acked] prefix the server already holds. *)
+    The event order is the {e canonical linearization}
+    ({!Wcp_trace.Computation.Stream.walk}): round-robin over
+    processes, each blocking on its next receive until the matching
+    send has been emitted — the walk [Slice.of_source] feeds the
+    offline slicer from, so the server's incremental slice (and hence
+    the served cut) is identical to the offline one by construction.
+    Because the order is deterministic, reconnecting is just replaying
+    it and skipping the [welcome.acked] prefix the server already
+    holds. *)
 
 open Wcp_trace
 
@@ -21,16 +22,6 @@ type outcome = {
   hops : int;
   lat_ns : int;
 }
-
-val linearize :
-  Computation.Stream.source ->
-  emit:(proc:int -> kind:int -> dst:int -> msg:int -> pred:bool -> unit) ->
-  unit
-(** The canonical linearization: [emit] sees every event exactly once,
-    in the order {!run_session} sends them ([kind] 0 = send, 1 =
-    receive; [dst] is 0 for receives; [pred] is the flag of the state
-    the event enters).
-    @raise Failure on a receive whose send never comes. *)
 
 type verdict =
   | Completed of outcome
@@ -69,7 +60,10 @@ val run_session :
     drained (and the advisory window ignored — the server sheds to
     disk, which is exactly what the slow-client bench arm measures).
     Errors (connection refused, server [error] line, early EOF) come
-    back as [Error message]. *)
+    back as [Error message]. So does a source the walk refuses, in
+    [detect --stream]'s words (["btrace: ..."] for a {!Btrace.Corrupt}
+    cursor, ["invalid computation: ..."] for a causally unsound run);
+    its session is left as a killed client leaves it. *)
 
 (** {2 Watching}
 

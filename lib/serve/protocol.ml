@@ -331,7 +331,6 @@ let decode_with f s ~pos ~len =
   match f (Json.parse_range s ~pos ~len) with
   | v -> Ok v
   | exception Json.Error m -> Error m
-  | exception Failure m -> Error m
 
 let client_of_json j =
   match Json.(to_str (member "type" j)) with

@@ -79,9 +79,6 @@ let pp_stats ppf t =
 
 module Itbl = Hashtbl.Make (Int)
 
-let invalid fmt =
-  Format.kasprintf (fun s -> raise (Computation.Invalid s)) fmt
-
 module Incremental = struct
   type pstate = {
     vc : int array;  (* dense vector clock of the current state *)
@@ -228,16 +225,10 @@ module Incremental = struct
     b.events <- b.events + 1;
     if b.keep p ps.state pred then add_anchor b p pred
 
-  (* The feed primitives below validate in [Computation.of_arrays]'s
-     words, raising [Computation.Invalid]; the public entry points
-     re-raise as [Invalid_argument]. *)
+  (* The feed primitives: the recorded-run walk has checked the event,
+     and [on_send]/[on_receive] check a served one. *)
 
   let send b p ~dst ~msg ~pred =
-    if msg < 0 then invalid "negative message id %d" msg;
-    if dst < 0 || dst >= b.n then
-      invalid "message %d sent to invalid process %d" msg dst;
-    if dst = p then invalid "message %d is a self-send on %d" msg p;
-    if Itbl.mem b.tags msg then invalid "message %d sent twice" msg;
     let tag =
       match b.tag_pool with
       | t :: rest ->
@@ -249,15 +240,6 @@ module Incremental = struct
     tag.(b.n) <- dst;
     Itbl.add b.tags msg tag;
     enter_state b p pred
-
-  (* The tag of [msg] if it is in flight, [None] if it was not sent
-     yet. *)
-  let in_flight b p msg =
-    match Itbl.find_opt b.tags msg with
-    | Some tag when tag.(b.n) <> p ->
-        invalid "message %d addressed to %d but received by %d" msg tag.(b.n)
-          p
-    | r -> r
 
   let receive b p ~msg tag ~pred =
     Itbl.remove b.tags msg;
@@ -273,17 +255,29 @@ module Incremental = struct
 
   let on_send b ~proc ~dst ~msg ~pred =
     check_proc b proc;
-    try send b proc ~dst ~msg ~pred
-    with Computation.Invalid m ->
-      invalid_arg ("Slice.Incremental.on_send: " ^ m)
+    let refuse fmt =
+      Printf.ksprintf
+        (fun m -> invalid_arg ("Slice.Incremental.on_send: " ^ m))
+        fmt
+    in
+    if msg < 0 then refuse "negative message id %d" msg;
+    if dst < 0 || dst >= b.n then
+      refuse "message %d sent to invalid process %d" msg dst;
+    if dst = proc then refuse "message %d is a self-send on %d" msg proc;
+    if Itbl.mem b.tags msg then refuse "message %d sent twice" msg;
+    send b proc ~dst ~msg ~pred
 
   let on_receive b ~proc ~msg ~pred =
     check_proc b proc;
-    match in_flight b proc msg with
-    | Some tag -> receive b proc ~msg tag ~pred
+    match Itbl.find_opt b.tags msg with
+    | Some tag when tag.(b.n) = proc -> receive b proc ~msg tag ~pred
+    | Some tag ->
+        invalid_arg
+          (Printf.sprintf
+             "Slice.Incremental.on_receive: message %d addressed to %d but \
+              received by %d"
+             msg tag.(b.n) proc)
     | None -> invalid_arg "Slice.Incremental.on_receive: receive before send"
-    | exception Computation.Invalid m ->
-        invalid_arg ("Slice.Incremental.on_receive: " ^ m)
 
   (* Materialisation. Skeleton messages get canonical identifiers —
      ascending by (target proc, target anchor, source proc) — so the
@@ -424,80 +418,18 @@ module Incremental = struct
     }
 end
 
-(* The feed stopped with [p] blocked on a receive of [w]: name the
-   defect in [Computation.of_arrays]'s words. Error path only, so one
-   more pass over the whole source is fine. *)
-let stuck (src : Computation.Stream.source) ~cursor p w =
-  let open Computation.Stream in
-  let sends = ref 0 and consumed = ref false in
-  for q = 0 to src.src_n - 1 do
-    for k = 0 to src.num_ops q - 1 do
-      match src.op ~proc:q ~k with
-      | Computation.Send { msg; _ } when msg = w ->
-          incr sends;
-          if k < cursor.(q) then consumed := true
-      | Computation.Send _ | Computation.Recv _ -> ()
-    done
-  done;
-  if !sends > 1 then invalid "message %d sent twice" w;
-  if !consumed then invalid "message %d received twice" w;
-  if !sends = 0 then invalid "message id %d never sent" w;
-  invalid "process %d blocked at event %d: causal cycle in trace" p cursor.(p)
-
-(* Feed a recorded run in a causally consistent order: round-robin over
-   processes, each running until it blocks on a receive whose message
-   is not in flight — the same linearisation [Computation.of_arrays]
-   validates with. Events and flags are pulled through the cursor one
-   at a time, each read once: a blocked receive keeps its message id
-   instead of being decoded again on every pass, and a flag is read as
-   its entering event is consumed and handed to [keep] with the state,
-   so a btrace source never materialises the run. *)
+(* Feed a recorded run to the builder in the walk's order, handing
+   [keep] each state with the flag the walk has just read, so a btrace
+   source never materialises the run. *)
 let feed (src : Computation.Stream.source) ~keep =
-  let open Computation.Stream in
-  let n = src.src_n in
-  let pred p s = src.pred ~proc:p ~state:s in
-  let b = Incremental.make ~n ~keep ~pred0:(fun p -> pred p 1) in
-  let nops = Array.init n src.num_ops in
-  let cursor = Array.make n 0 in
-  let waiting = Array.make n (-1) in  (* message a blocked receive awaits *)
-  let recv p k msg =
-    match Incremental.in_flight b p msg with
-    | None ->
-        waiting.(p) <- msg;
-        false
-    | Some tag ->
-        waiting.(p) <- -1;
-        Incremental.receive b p ~msg tag ~pred:(pred p (k + 2));
-        true
+  let b =
+    Incremental.make ~n:src.src_n ~keep ~pred0:(fun p ->
+        src.pred ~proc:p ~state:1)
   in
-  (* Consume event [k] of [p] if it is enabled. *)
-  let step p k =
-    if waiting.(p) >= 0 then recv p k waiting.(p)
-    else
-      match src.op ~proc:p ~k with
-      | Computation.Send { dst; msg } ->
-          Incremental.send b p ~dst ~msg ~pred:(pred p (k + 2));
-          true
-      | Computation.Recv { msg } ->
-          if msg < 0 then invalid "receive of unknown message %d" msg;
-          recv p k msg
-  in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for p = 0 to n - 1 do
-      while cursor.(p) < nops.(p) && step p cursor.(p) do
-        cursor.(p) <- cursor.(p) + 1;
-        progress := true
-      done
-    done
-  done;
-  Array.iteri
-    (fun p k -> if k < nops.(p) then stuck src ~cursor p waiting.(p))
-    cursor;
-  if Itbl.length b.Incremental.tags > 0 then
-    invalid "message %d never received"
-      (Itbl.fold (fun m _ acc -> min m acc) b.Incremental.tags max_int);
+  Computation.Stream.walk src
+    ~send:(fun ~proc ~dst ~msg ~pred -> Incremental.send b proc ~dst ~msg ~pred)
+    ~receive:(fun ~proc ~msg ~pred ->
+      Incremental.receive b proc ~msg (Itbl.find b.tags msg) ~pred);
   Incremental.finish b
 
 let of_source src ~keep =

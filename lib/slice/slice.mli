@@ -49,19 +49,15 @@ val make : Computation.t -> keep:(proc:int -> state:int -> bool) -> t
 val of_source :
   Computation.Stream.source -> keep:(proc:int -> state:int -> bool) -> t
 (** {!make} over a streaming cursor: events and flags are pulled one
-    at a time, so slicing an mmap'd {!Btrace} source holds only the
-    slice itself — never the dense computation — in memory. Each event
-    and each flag is read once (two source reads per event), a flag at
-    the moment the event entering its state is consumed. The run is
-    checked as it is fed, so a streamed source is held to the same
-    soundness rules as {!Computation.of_arrays}.
-    @raise Computation.Invalid, in {!Computation.of_arrays}'s words, on
-    a self-send, a send to a process out of range, a message id sent
-    while the same id is in flight, a receive by a process other than
-    the addressee, a message never received, or a receive that can
-    never be enabled (a causal cycle, a message never sent or received
-    twice). A message id reused after its first message was received
-    names a new message here, where dense reading refuses it. *)
+    at a time, in {!Computation.Stream.walk}'s order, so slicing an
+    mmap'd {!Btrace} source holds only the slice itself — never the
+    dense computation — in memory. Each event and each flag is read
+    once (two source reads per event), a flag at the moment the event
+    entering its state is consumed. The walk is the dense reader's
+    check, so a streamed source is held to the same soundness rules
+    as {!Computation.of_arrays}.
+    @raise Computation.Invalid as {!Computation.Stream.walk}, in the
+    same words. *)
 
 val for_spec : ?keep_rest:bool -> Computation.t -> procs:int array -> t
 (** The detector-facing policy: processes in [procs] retain their

@@ -10,6 +10,142 @@ type message = {
   dst_state : int;
 }
 
+exception Invalid of string
+
+let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
+
+type source = {
+  src_n : int;
+  num_ops : int -> int;
+  op : proc:int -> k:int -> op;
+  pred : proc:int -> state:int -> bool;
+}
+
+(* Per-id slots of [walk]. A sound run of E events names exactly the
+   ids 0..E/2-1, so ⌈E/2⌉ slots cover every legal id and nothing is
+   sized by an id's value. One 4-byte off-heap word each: [free] until
+   the send runs, [dst + 1] while in flight, [gone] once received. *)
+let free = 0
+
+let gone = -1
+
+(* A send named an id past the slots, so the ids are not dense: name
+   the first id below them that no event sends, as the dense pairing
+   does. If every one is sent there are more sends than receives, and
+   one of them is never received. Error path only, so one more pass
+   over the source is fine. *)
+let not_dense src ~ids =
+  let seen = Bytes.make ids '\000' in
+  for p = 0 to src.src_n - 1 do
+    for k = 0 to src.num_ops p - 1 do
+      let msg, bit =
+        match src.op ~proc:p ~k with
+        | Send { msg; _ } -> (msg, 1)
+        | Recv { msg } -> (msg, 2)
+      in
+      if msg >= 0 && msg < ids then
+        Bytes.set seen msg (Char.chr (Char.code (Bytes.get seen msg) lor bit))
+    done
+  done;
+  let missing bit =
+    let id = ref 0 in
+    while !id < ids && Char.code (Bytes.get seen !id) land bit <> 0 do
+      incr id
+    done;
+    !id
+  in
+  let unsent = missing 1 in
+  if unsent < ids then invalid "message id %d never sent" unsent;
+  invalid "message %d never received" (missing 2)
+
+(* [p] is blocked for good on a receive of [w]: name the defect. Error
+   path only, so one more pass over the source is fine. *)
+let stuck src ~slot ~cursor p w =
+  let sends = ref 0 in
+  for q = 0 to src.src_n - 1 do
+    for k = 0 to src.num_ops q - 1 do
+      match src.op ~proc:q ~k with
+      | Send { msg; _ } when msg = w -> incr sends
+      | Send _ | Recv _ -> ()
+    done
+  done;
+  if !sends > 1 then invalid "message %d sent twice" w;
+  if slot w <> free then invalid "message %d received twice" w;
+  if !sends = 0 then invalid "message id %d never sent" w;
+  invalid "process %d blocked at event %d: causal cycle in trace" p cursor.(p)
+
+let walk src ~send ~receive =
+  let n = src.src_n in
+  let nops = Array.init n src.num_ops in
+  let ids = (Array.fold_left ( + ) 0 nops + 1) / 2 in
+  let slots = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout ids in
+  Bigarray.Array1.fill slots (Int32.of_int free);
+  let slot msg =
+    if msg < ids then Int32.to_int (Bigarray.Array1.unsafe_get slots msg)
+    else free
+  in
+  let set msg v = Bigarray.Array1.unsafe_set slots msg (Int32.of_int v) in
+  let cursor = Array.make n 0 in
+  let waiting = Array.make n (-1) in  (* message a blocked receive awaits *)
+  let in_flight = ref 0 in
+  let recv p k msg =
+    let s = slot msg in
+    if s > 0 then begin
+      if s - 1 <> p then
+        invalid "message %d addressed to %d but received by %d" msg (s - 1) p;
+      set msg gone;
+      decr in_flight;
+      waiting.(p) <- -1;
+      receive ~proc:p ~msg ~pred:(src.pred ~proc:p ~state:(k + 2));
+      true
+    end
+    else begin
+      waiting.(p) <- msg;
+      false
+    end
+  in
+  (* Consume event [k] of [p] if it is enabled. A blocked receive keeps
+     its message id, so no event is read twice. *)
+  let step p k =
+    if waiting.(p) >= 0 then recv p k waiting.(p)
+    else
+      match src.op ~proc:p ~k with
+      | Send { dst; msg } ->
+          if msg < 0 then invalid "negative message id %d" msg;
+          if dst < 0 || dst >= n then
+            invalid "message %d sent to invalid process %d" msg dst;
+          if dst = p then invalid "message %d is a self-send on %d" msg p;
+          if msg >= ids then not_dense src ~ids;
+          if slot msg <> free then invalid "message %d sent twice" msg;
+          set msg (dst + 1);
+          incr in_flight;
+          send ~proc:p ~dst ~msg ~pred:(src.pred ~proc:p ~state:(k + 2));
+          true
+      | Recv { msg } ->
+          if msg < 0 then invalid "receive of unknown message %d" msg;
+          recv p k msg
+  in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    for p = 0 to n - 1 do
+      while cursor.(p) < nops.(p) && step p cursor.(p) do
+        cursor.(p) <- cursor.(p) + 1;
+        progress := true
+      done
+    done
+  done;
+  Array.iteri
+    (fun p k -> if k < nops.(p) then stuck src ~slot ~cursor p waiting.(p))
+    cursor;
+  if !in_flight > 0 then begin
+    let id = ref 0 in
+    while slot !id <= free do
+      incr id
+    done;
+    invalid "message %d never received" !id
+  end
+
 type t = {
   n : int;
   ops : op array array;
@@ -24,132 +160,9 @@ type t = {
          "any send in [lo, hi]" is one subtraction. *)
 }
 
-exception Invalid of string
-
-let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
-
-(* First pass over the raw ops: check message ids are dense, each sent
-   and received exactly once, and addressed to the process that receives
-   it. Returns the per-message sender/receiver skeleton. *)
-let check_messages ~n (ops : op array array) =
-  let num_msgs =
-    Array.fold_left
-      (fun acc proc_ops ->
-        Array.fold_left
-          (fun acc op ->
-            match op with Send { msg; _ } | Recv { msg } -> max acc (msg + 1))
-          acc proc_ops)
-      0 ops
-  in
-  let senders = Array.make num_msgs None in
-  let receivers = Array.make num_msgs None in
-  Array.iteri
-    (fun i proc_ops ->
-      Array.iter
-        (fun op ->
-          match op with
-          | Send { dst; msg } ->
-              if msg < 0 then invalid "negative message id %d" msg;
-              if dst < 0 || dst >= n then
-                invalid "message %d sent to invalid process %d" msg dst;
-              if dst = i then invalid "message %d is a self-send on %d" msg i;
-              (match senders.(msg) with
-              | Some _ -> invalid "message %d sent twice" msg
-              | None -> senders.(msg) <- Some (i, dst))
-          | Recv { msg } ->
-              if msg < 0 || msg >= num_msgs then
-                invalid "receive of unknown message %d" msg;
-              (match receivers.(msg) with
-              | Some _ -> invalid "message %d received twice" msg
-              | None -> receivers.(msg) <- Some i))
-        proc_ops)
-    ops;
-  let pair id =
-    match (senders.(id), receivers.(id)) with
-    | Some (src, dst), Some r ->
-        if r <> dst then
-          invalid "message %d addressed to %d but received by %d" id dst r;
-        (src, dst)
-    | None, _ -> invalid "message id %d never sent" id
-    | _, None -> invalid "message %d never received" id
-  in
-  Array.init num_msgs pair
-
-(* Topological replay: execute each process's ops in order, blocking a
-   receive until the matching send has executed. Any process left
-   unfinished at the end witnesses a causal cycle. Computes the vector
-   clock of every state and the direct dependence at every receive. *)
-let replay ~n (ops : op array array) endpoints =
-  let num_msgs = Array.length endpoints in
-  let msg_vc : Vector_clock.t option array = Array.make num_msgs None in
-  let msg_src_state = Array.make num_msgs 0 in
-  let msg_dst_state = Array.make num_msgs 0 in
-  let waiting_for : int option array = Array.make num_msgs None in
-  let pos = Array.make n 0 in
-  let clock = Array.init n (fun i -> Vector_clock.make ~n ~owner:i) in
-  (* Final per-state tables, sized up front (state count = ops + 1);
-     slot 0 holds the initial clock, slot [p + 1] is written as the op
-     at position [p] executes. *)
-  let vcs = Array.init n (fun i -> Array.make (Array.length ops.(i) + 1) clock.(i)) in
-  let deps = Array.init n (fun i -> Array.make (Array.length ops.(i) + 1) None) in
-  let queue = Queue.create () in
-  Array.iteri (fun i _ -> Queue.add i queue) ops;
-  let run i =
-    let blocked = ref false in
-    while (not !blocked) && pos.(i) < Array.length ops.(i) do
-      (match ops.(i).(pos.(i)) with
-      | Send { msg; _ } ->
-          msg_vc.(msg) <- Some clock.(i);
-          msg_src_state.(msg) <- Vector_clock.get clock.(i) i;
-          clock.(i) <- Vector_clock.tick clock.(i) ~owner:i;
-          vcs.(i).(pos.(i) + 1) <- clock.(i);
-          (match waiting_for.(msg) with
-          | Some j ->
-              waiting_for.(msg) <- None;
-              Queue.add j queue
-          | None -> ())
-      | Recv { msg } -> (
-          match msg_vc.(msg) with
-          | None ->
-              waiting_for.(msg) <- Some i;
-              blocked := true
-          | Some sender_vc ->
-              (* Fig. 2 receive rule via the in-place ops: one fresh
-                 array per state instead of one per step. *)
-              let v = Vector_clock.copy clock.(i) in
-              Vector_clock.merge_into ~into:v sender_vc;
-              Vector_clock.tick_into v ~owner:i;
-              clock.(i) <- v;
-              msg_dst_state.(msg) <- Vector_clock.get clock.(i) i;
-              vcs.(i).(pos.(i) + 1) <- clock.(i);
-              let src, _ = endpoints.(msg) in
-              deps.(i).(pos.(i) + 1) <-
-                Some Dependence.{ src; clock = msg_src_state.(msg) }));
-      if not !blocked then pos.(i) <- pos.(i) + 1
-    done
-  in
-  while not (Queue.is_empty queue) do
-    run (Queue.pop queue)
-  done;
-  Array.iteri
-    (fun i p ->
-      if p < Array.length ops.(i) then
-        invalid "process %d blocked at event %d: causal cycle in trace" i p)
-    pos;
-  let messages =
-    Array.mapi
-      (fun id (src, dst) ->
-        {
-          id;
-          src;
-          src_state = msg_src_state.(id);
-          dst;
-          dst_state = msg_dst_state.(id);
-        })
-      endpoints
-  in
-  (vcs, deps, messages)
-
+(* The walk plus the Fig. 2 clock of every state and the §4.1 direct
+   dependence at every receive. The message tables have the walk's
+   ⌈E/2⌉ slots, one per message once the walk has found E even. *)
 let of_arrays ~ops ~pred =
   let n = Array.length ops in
   if n = 0 then invalid "empty computation";
@@ -162,8 +175,42 @@ let of_arrays ~ops ~pred =
         invalid "process %d: %d predicate flags for %d states"
           i (Array.length row) expect)
     pred;
-  let endpoints = check_messages ~n ops in
-  let vcs, deps, messages = replay ~n ops endpoints in
+  let clock = Array.init n (fun i -> Vector_clock.make ~n ~owner:i) in
+  (* Slot 0 holds the initial clock; the event entering state [s]
+     writes slot [s - 1], and a process's own clock entry is its
+     state. *)
+  let vcs = Array.init n (fun i -> Array.make (Array.length ops.(i) + 1) clock.(i)) in
+  let deps = Array.init n (fun i -> Array.make (Array.length ops.(i) + 1) None) in
+  let num_msgs = (Array.fold_left (fun acc o -> acc + Array.length o) 0 ops + 1) / 2 in
+  let msg_vc = Array.make num_msgs clock.(0) in  (* the sender's clock *)
+  let msg_src = Array.make num_msgs 0 in
+  let messages =
+    Array.make num_msgs { id = 0; src = 0; src_state = 0; dst = 0; dst_state = 0 }
+  in
+  walk
+    {
+      src_n = n;
+      num_ops = (fun i -> Array.length ops.(i));
+      op = (fun ~proc ~k -> ops.(proc).(k));
+      pred = (fun ~proc ~state -> pred.(proc).(state - 1));
+    }
+    ~send:(fun ~proc:i ~dst:_ ~msg ~pred:_ ->
+      msg_vc.(msg) <- clock.(i);
+      msg_src.(msg) <- i;
+      clock.(i) <- Vector_clock.tick clock.(i) ~owner:i;
+      vcs.(i).(Vector_clock.get clock.(i) i - 1) <- clock.(i))
+    ~receive:(fun ~proc:i ~msg ~pred:_ ->
+      (* Fig. 2 receive rule via the in-place ops: one fresh array per
+         state instead of one per step. *)
+      let v = Vector_clock.copy clock.(i) in
+      Vector_clock.merge_into ~into:v msg_vc.(msg);
+      Vector_clock.tick_into v ~owner:i;
+      clock.(i) <- v;
+      let src = msg_src.(msg) and dst_state = Vector_clock.get v i in
+      let src_state = Vector_clock.get msg_vc.(msg) src in
+      vcs.(i).(dst_state - 1) <- v;
+      deps.(i).(dst_state - 1) <- Some Dependence.{ src; clock = src_state };
+      messages.(msg) <- { id = msg; src; src_state; dst = i; dst_state });
   let max_events =
     Array.fold_left (fun acc o -> max acc (Array.length o)) 0 ops
   in
@@ -267,12 +314,14 @@ let pp_summary ppf t =
     t.n (total_states t) (Array.length t.messages)
 
 module Stream = struct
-  type source = {
+  type nonrec source = source = {
     src_n : int;
     num_ops : int -> int;
     op : proc:int -> k:int -> op;
     pred : proc:int -> state:int -> bool;
   }
+
+  let walk = walk
 
   (* The accessors bound-check explicitly so a cursor racing past the
      recorded extent (e.g. a streaming consumer misreading a count)

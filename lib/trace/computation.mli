@@ -14,9 +14,10 @@
       index, since the counter is incremented on every send/receive;
     - the direct dependence (§4.1) recorded at each receive.
 
-    Construction validates that the run is causally sound: every
-    message is sent exactly once and received exactly once, by the
-    addressed process, and the send precedes the receive in some
+    Construction validates that the run is causally sound, by
+    {!Stream.walk}: message ids are dense, every message is sent
+    exactly once, to another process, and received exactly once, by
+    the addressed process, and the send precedes the receive in some
     linearization (no causal cycles). *)
 
 open Wcp_clocks
@@ -38,7 +39,8 @@ type message = {
 type t
 
 exception Invalid of string
-(** Raised by {!of_raw} (and the codec) on causally unsound input. *)
+(** Raised by {!of_raw}, {!Stream.walk} (and the codec) on causally
+    unsound input. *)
 
 val of_raw : ops:op list array -> pred:bool array array -> t
 (** [of_raw ~ops ~pred] builds a computation from per-process event
@@ -152,6 +154,29 @@ module Stream : sig
       event index past [num_ops], a state outside [1..num_ops+1] —
       raise a named [Invalid_argument], mirroring the [Corrupt]
       errors of the {!Btrace} cursor. *)
+
+  val walk :
+    source ->
+    send:(proc:int -> dst:int -> msg:int -> pred:bool -> unit) ->
+    receive:(proc:int -> msg:int -> pred:bool -> unit) ->
+    unit
+  (** The canonical linearization of a recorded run, and its one
+      soundness check. Round-robin over processes, each runs until it
+      blocks on a receive whose message is not in flight; [send] and
+      [receive] see every event once, in that order, with [pred] the
+      flag of the state the event enters. Each event and each flag
+      past state 1 is read once (a blocked receive keeps its message
+      id); the initial flags are the caller's to read. The per-id
+      record is one 4-byte off-heap slot per id a sound run can name
+      (⌈E/2⌉ for E events), so no allocation scales with an id's
+      value. {!of_arrays}, the slicer and the service client all
+      linearize through it.
+      @raise Invalid on a negative id, a send to a process out of
+      range or to itself, ids that are not dense, a message sent
+      twice, received by a process other than its addressee, received
+      twice or never received, a receive of a message never sent, or
+      a causal cycle. An error may read the source again to name the
+      defect. *)
 
   val materialize : source -> t
   (** Pull every event and flag through the cursor and build (and

@@ -261,9 +261,10 @@ let stream_sweep ~sizes ~densities ~seeds =
     sizes
 
 (* Causal unsoundness in structurally clean images, one per defect
-   [Computation.of_arrays] names: the streamed path of [detect --stream]
-   must refuse each in the words of the dense reader, for every
-   detector, instead of printing a cut or dying on an internal error. *)
+   [Computation.Stream.walk] names: the dense reader, the walk the
+   service client streams and the streamed path of [detect --stream]
+   must refuse each in the same words, for every detector, instead of
+   printing a cut or dying on an internal error. *)
 let unsound_images () =
   let valid ops =
     Btrace.encode
@@ -278,6 +279,12 @@ let unsound_images () =
         let ops_off = Int64.to_int (String.get_int64_le img (32 + (24 * p))) in
         set_u64 b (ops_off + (8 * k)) word)
       edits;
+    Bytes.to_string b
+  in
+  (* The header's message count, raised so an edited id stays in range. *)
+  let with_msgs count img =
+    let b = Bytes.of_string img in
+    set_u64 b 16 count;
     Bytes.to_string b
   in
   let written n f =
@@ -318,6 +325,37 @@ let unsound_images () =
       edit
         (valid [| [ Send { dst = 1; msg = 0 } ]; [ Recv { msg = 0 } ] |])
         [ (0, 0, Btrace.pack_send ~dst:0 ~msg:0) ] );
+    (* The only message is number 5: the ids are not dense. *)
+    ( "message id 0 never sent",
+      with_msgs 6
+        (edit
+           (valid [| [ Send { dst = 1; msg = 0 } ]; [ Recv { msg = 0 } ] |])
+           [
+             (0, 0, Btrace.pack_send ~dst:1 ~msg:5);
+             (1, 0, Btrace.pack_recv ~msg:5);
+           ]) );
+    (* Message 0 sent again after its receipt. *)
+    ( "message 0 sent twice",
+      edit
+        (valid
+           [|
+             [ Send { dst = 1; msg = 0 }; Recv { msg = 1 }; Send { dst = 1; msg = 2 } ];
+             [ Recv { msg = 0 }; Send { dst = 0; msg = 1 }; Recv { msg = 2 } ];
+           |])
+        [
+          (0, 2, Btrace.pack_send ~dst:1 ~msg:0);
+          (1, 2, Btrace.pack_recv ~msg:0);
+        ] );
+    (* A receive of message 7, above every sent id. *)
+    ( "message id 7 never sent",
+      with_msgs 8
+        (edit
+           (valid
+              [|
+                [ Send { dst = 1; msg = 0 }; Recv { msg = 1 } ];
+                [ Recv { msg = 0 }; Send { dst = 0; msg = 1 } ];
+              |])
+           [ (0, 1, Btrace.pack_recv ~msg:7) ]) );
   ]
 
 let test_unsound_streamed () =
@@ -328,6 +366,15 @@ let test_unsound_streamed () =
       | exception Computation.Invalid m ->
           Alcotest.(check string) "dense" expected m);
       let reader = Btrace.of_string img in
+      (* the walk alone, as the service client streams the file *)
+      (match
+         Computation.Stream.walk (Btrace.source reader)
+           ~send:(fun ~proc:_ ~dst:_ ~msg:_ ~pred:_ -> ())
+           ~receive:(fun ~proc:_ ~msg:_ ~pred:_ -> ())
+       with
+      | () -> Alcotest.failf "walk accepted: %s" expected
+      | exception Computation.Invalid m ->
+          Alcotest.(check string) "walk" expected m);
       let procs = Array.init (Btrace.num_processes reader) Fun.id in
       List.iter
         (fun (d : Detectors.t) ->

@@ -483,6 +483,67 @@ let test_stream_cursor_edges () =
   invalid "op proc out of range" (fun () -> s.op ~proc:3 ~k:0);
   invalid "pred past last state" (fun () -> s.pred ~proc:0 ~state:(k + 2))
 
+(* --- The walk ---------------------------------------------------------- *)
+
+(* A reference round-robin loop: each process runs until its next
+   receive names a message not yet sent, and passes repeat while any
+   process moved. Events come out as (proc, kind, dst, msg, pred). *)
+let reference_order comp =
+  let n = Computation.n comp in
+  let ops = Array.init n (fun p -> Array.of_list (Computation.ops comp p)) in
+  let cursor = Array.make n 0 in
+  let sent = Hashtbl.create 16 in
+  let out = ref [] in
+  let moved = ref true in
+  while !moved do
+    moved := false;
+    for p = 0 to n - 1 do
+      let blocked = ref false in
+      while (not !blocked) && cursor.(p) < Array.length ops.(p) do
+        let k = cursor.(p) in
+        let pred = Computation.pred comp (State.make ~proc:p ~index:(k + 2)) in
+        match ops.(p).(k) with
+        | Computation.Send { dst; msg } ->
+            Hashtbl.replace sent msg ();
+            out := (p, 0, dst, msg, pred) :: !out;
+            cursor.(p) <- k + 1;
+            moved := true
+        | Computation.Recv { msg } when Hashtbl.mem sent msg ->
+            out := (p, 1, 0, msg, pred) :: !out;
+            cursor.(p) <- k + 1;
+            moved := true
+        | Computation.Recv _ -> blocked := true
+      done
+    done
+  done;
+  List.rev !out
+
+let prop_walk_order =
+  Helpers.qtest "walk visits events in the reference round-robin order"
+    Helpers.gen_medium_comp (fun comp ->
+      let out = ref [] in
+      Computation.Stream.walk (Computation.Stream.of_computation comp)
+        ~send:(fun ~proc ~dst ~msg ~pred -> out := (proc, 0, dst, msg, pred) :: !out)
+        ~receive:(fun ~proc ~msg ~pred -> out := (proc, 1, 0, msg, pred) :: !out);
+      List.rev !out = reference_order comp)
+
+(* Refusing a run must not cost memory in proportion to the ids it
+   names: 72 bytes naming message 2,000,000 stay well under 1 MB. *)
+let test_walk_bounded () =
+  let text =
+    "wcp-trace v1\nn 2\nops 0 S1:2000000\npred 0 0 0\nops 1 R:2000000\npred 1 0 0\n"
+  in
+  Alcotest.(check int) "trace size" 72 (String.length text);
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  (match Trace_codec.decode text with
+  | _ -> Alcotest.fail "non-dense ids accepted"
+  | exception Trace_codec.Parse_error { message; _ } ->
+      Alcotest.(check string) "refusal"
+        "invalid computation: message id 0 never sent" message);
+  let used = Gc.allocated_bytes () -. before in
+  if used >= 1e6 then Alcotest.failf "refusal allocated %.0f bytes" used
+
 let () =
   Alcotest.run "computation"
     [
@@ -539,5 +600,8 @@ let () =
         [
           Alcotest.test_case "cursor edge cases" `Quick
             test_stream_cursor_edges;
+          prop_walk_order;
+          Alcotest.test_case "refusal bounded by input size" `Quick
+            test_walk_bounded;
         ] );
     ]

@@ -139,8 +139,17 @@ let test_decode_errors () =
   bad {|{"seq":0,"t":0.0,"proc":1}|};
   (* missing type *)
   bad {|{"seq":0,"t":0.0,"proc":1,"type":"no_such_kind"}|};
-  bad {|{"seq":0,"t":0.0,"proc":1,"type":"sent","dst":3}|}
-(* missing bits *)
+  bad {|{"seq":0,"t":0.0,"proc":1,"type":"sent","dst":3}|};
+  (* missing bits *)
+  let names_token s expected =
+    match Export.decode_line s with
+    | Error m -> Alcotest.(check string) s expected m
+    | Ok _ -> Alcotest.failf "accepted malformed line %S" s
+  in
+  names_token {|{"seq":0,"t":1e+,"proc":1,"type":"no_detection"}|}
+    {|at byte 13: bad number "1e+"|};
+  names_token {|{"seq":0,"t":0.0,"proc":1,"type":"\uzzzz"}|}
+    {|at byte 34: bad \u escape "zzzz"|}
 
 (* ------------------------------------------------------------------ *)
 (* Traced runs: determinism and invisibility                           *)

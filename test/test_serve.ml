@@ -300,6 +300,64 @@ let test_poisoned () =
             (String.starts_with ~prefix:"bad event stream" self_send))
         arms)
 
+(* --- a btrace the walk refuses --------------------------------------- *)
+
+(* A structurally broken btrace (an id at or above the header's count)
+   and a causally unsound one (an id sent twice) are refused mid-stream
+   in [detect --stream]'s words, leaving their sessions as a killed
+   client does; the same server then answers a valid session. *)
+let test_refused_btrace () =
+  let open Computation in
+  let comp =
+    of_raw
+      ~ops:
+        [|
+          [ Send { dst = 1; msg = 0 }; Send { dst = 1; msg = 1 } ];
+          [ Recv { msg = 0 }; Recv { msg = 1 } ];
+        |]
+      ~pred:[| [| false; true; false |]; [| false; true; true |] |]
+  in
+  let img = Btrace.encode comp in
+  (* [img] with event [k] of process [p] overwritten by [word] *)
+  let edited ~p ~k word =
+    let b = Bytes.of_string img in
+    let ops_off = Int64.to_int (String.get_int64_le img (32 + (24 * p))) in
+    Bytes.set_int64_le b (ops_off + (8 * k)) (Int64.of_int word);
+    Btrace.source (Btrace.of_string (Bytes.to_string b))
+  in
+  with_server (fun addr ->
+      let run ~session src =
+        Client.run_session ~retry:5. ~addr ~session ~algo:"token-vc"
+          ~procs:[| 0; 1 |] ~seed:1L src
+      in
+      let refused ~session expected src =
+        match run ~session src with
+        | Error m -> Alcotest.(check string) session expected m
+        | Ok _ -> Alcotest.failf "%s: accepted" session
+      in
+      refused ~session:"corrupt"
+        "btrace: process 1 event 1: message 7 out of range"
+        (edited ~p:1 ~k:1 (Btrace.pack_recv ~msg:7));
+      refused ~session:"unsound" "invalid computation: message 0 sent twice"
+        (edited ~p:0 ~k:1 (Btrace.pack_send ~dst:1 ~msg:0));
+      Alcotest.(check string)
+        "valid session after the refusals"
+        (offline_outcome comp ~algo:"token-vc" ~procs:[| 0; 1 |] ~seed:1L
+           ~groups:2)
+        (served_outcome "valid"
+           (run ~session:"valid" (Btrace.source (Btrace.of_string img)))))
+
+(* --- control lines name a malformed token ---------------------------- *)
+
+let test_decode_errors () =
+  let names_token line expected =
+    match Protocol.decode_client line ~pos:0 ~len:(String.length line) with
+    | Error m -> Alcotest.(check string) line expected m
+    | Ok _ -> Alcotest.failf "accepted malformed line %S" line
+  in
+  names_token {|{"type":"ev","p":0,"k":1,"m":-,"f":0}|} {|at byte 29: bad number "-"|};
+  names_token {|{"type":"\u+123"}|} {|at byte 9: bad \u escape "+123"|}
+
 (* --- a config the detector cannot run is refused at hello ---------- *)
 
 (* multi-token needs at least one group: the hello itself is answered
@@ -347,15 +405,17 @@ let event_stream comp =
   let entered =
     Array.init n (fun p -> Array.make (Computation.num_states comp p + 1) (-1))
   in
-  Client.linearize (Computation.Stream.of_computation comp)
-    ~emit:(fun ~proc ~kind ~dst ~msg ~pred ->
-      words :=
-        (if kind = 0 then Btrace.pack_send ~dst ~msg else Btrace.pack_recv ~msg)
-        :: !words;
-      metas := ((proc lsl 1) lor Bool.to_int pred) :: !metas;
-      state.(proc) <- state.(proc) + 1;
-      entered.(proc).(state.(proc)) <- !idx;
-      incr idx);
+  let emit ~proc word ~pred =
+    words := word :: !words;
+    metas := ((proc lsl 1) lor Bool.to_int pred) :: !metas;
+    state.(proc) <- state.(proc) + 1;
+    entered.(proc).(state.(proc)) <- !idx;
+    incr idx
+  in
+  Computation.Stream.walk (Computation.Stream.of_computation comp)
+    ~send:(fun ~proc ~dst ~msg ~pred ->
+      emit ~proc (Btrace.pack_send ~dst ~msg) ~pred)
+    ~receive:(fun ~proc ~msg ~pred -> emit ~proc (Btrace.pack_recv ~msg) ~pred);
   (Array.of_list (List.rev !words), Array.of_list (List.rev !metas), entered)
 
 let spool =
@@ -561,6 +621,9 @@ let () =
           Alcotest.test_case "concurrent sessions" `Quick test_concurrent;
           Alcotest.test_case "metrics stream" `Quick test_metrics;
           Alcotest.test_case "poisoned session answers" `Quick test_poisoned;
+          Alcotest.test_case "refused btrace streams" `Quick test_refused_btrace;
+          Alcotest.test_case "control lines name a bad token" `Quick
+            test_decode_errors;
           Alcotest.test_case "groups < 1 refused at hello" `Quick
             test_groups_refused;
         ] );

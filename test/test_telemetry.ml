@@ -171,8 +171,15 @@ let test_decode_errors () =
   bad {|{"type":"no_such_line"}|};
   bad {|{"type":"window","idx":0}|};
   (* missing fields *)
-  bad {|{"type":"total","windows":1,"events":2,"elims":0,"hops":1}|}
-(* missing phases *)
+  bad {|{"type":"total","windows":1,"events":2,"elims":0,"hops":1}|};
+  (* missing phases *)
+  let names_token s expected =
+    match Telemetry.decode_line s with
+    | Error m -> Alcotest.(check string) s expected m
+    | Ok _ -> Alcotest.failf "accepted malformed line %S" s
+  in
+  names_token {|{"type":"total","windows":1.e}|} {|at byte 26: bad number "1.e"|};
+  names_token {|{"type":"\u00g0"}|} {|at byte 9: bad \u escape "00g0"|}
 
 (* ------------------------------------------------------------------ *)
 (* Window and phase mechanics on a synthetic stream                    *)
