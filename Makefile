@@ -115,7 +115,9 @@ btrace-check:
 # same cut (replay from the server's ack). --sessions 25 (six
 # algorithms at two sizes from two formats, plus the reconnect) makes
 # the daemon count its results and exit by itself, so the target
-# cannot leak a server.
+# cannot leak a server. A second, idle daemon must exit 0 within 5 s
+# of a TERM; it is killed with -9 before the target fails, so the
+# target cannot hang either.
 # The same contract runs bounded and in-process inside `make test`
 # (test_serve).
 serve-check:
@@ -150,7 +152,16 @@ serve-check:
 	cmp -s $$tmp/offline.out $$tmp/served.out \
 	  || { echo "serve-check: reconnect served cut != offline cut"; kill $$srv 2>/dev/null; exit 1; }; \
 	echo "serve-check: kill-and-reconnect OK ($$(cat $$tmp/served.out))"; \
-	wait $$srv || { echo "serve-check: server exited non-zero"; exit 1; }
+	wait $$srv || { echo "serve-check: server exited non-zero"; exit 1; }; \
+	$$wcp serve --listen unix:$$tmp/idle --spool $$tmp --silent > $$tmp/idle.out & \
+	idle=$$!; i=0; \
+	while [ ! -S $$tmp/idle ] && [ $$i -lt 50 ]; do sleep 0.1; i=$$((i+1)); done; \
+	kill -TERM $$idle; i=0; \
+	while kill -0 $$idle 2>/dev/null && [ $$i -lt 50 ]; do sleep 0.1; i=$$((i+1)); done; \
+	if kill -0 $$idle 2>/dev/null; then \
+	  kill -9 $$idle; echo "serve-check: idle server outlived TERM by 5 s"; exit 1; fi; \
+	wait $$idle || { echo "serve-check: idle server exited non-zero on TERM"; exit 1; }; \
+	echo "serve-check: TERM stops an idle server OK ($$(cat $$tmp/idle.out))"
 
 # Run every example; the first one that exits non-zero fails the
 # target. Their complete outputs are pinned by test/examples.t.

@@ -636,7 +636,7 @@ let run_detection job =
   let recorder = Wcp_obs.Recorder.create () in
   let _ = run_sim ~recorder job in
   let events = Wcp_obs.Recorder.events recorder in
-  let _, s = Wcp_obs.Metrics.of_events events in
+  let s = Wcp_obs.Metrics.of_events events in
   let hist name h =
     Json.
       [
@@ -757,8 +757,7 @@ let run_detection job =
           ("replayed", Int (Wcp_sim.Stats.replayed st));
           ("recovery_latency", Float recovery_latency);
           ("trace_events", Int (Wcp_obs.Recorder.emitted recorder));
-          ( "eliminations",
-            Int (Wcp_obs.Metrics.count s.Wcp_obs.Metrics.eliminations) );
+          ("eliminations", Int s.Wcp_obs.Metrics.eliminations);
           ("slice_states", Int slice_states);
           ("par_rounds", Int (Wcp_sim.Stats.par_rounds st));
           ("par_frontier", Int (Wcp_sim.Stats.par_max_frontier st));

@@ -34,7 +34,9 @@ let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let trace_arg =
-  let doc = "Trace file (wcp-trace v1 format)." in
+  let doc =
+    "Trace file: text (wcp-trace v1) or binary (wcp-btrace/1), autodetected."
+  in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
 
 let output_arg =
@@ -311,13 +313,13 @@ let generate_cmd =
   in
   let p_pred =
     Arg.(
-      value & opt float 0.5
+      value & opt probability 0.5
       & info [ "p-pred" ] ~docv:"P"
           ~doc:"Probability a state's local predicate is true.")
   in
   let p_recv =
     Arg.(
-      value & opt float 0.5
+      value & opt probability 0.5
       & info [ "p-recv" ] ~docv:"P" ~doc:"Bias toward receiving when possible.")
   in
   let run n sends p_pred p_recv seed out =
@@ -394,7 +396,7 @@ let workload_cmd =
   in
   let p_bug =
     Arg.(
-      value & opt float 0.0
+      value & opt probability 0.0
       & info [ "p-bug" ] ~docv:"P" ~doc:"Bug injection probability.")
   in
   let run kind size rounds p_bug seed out =
@@ -753,10 +755,8 @@ let trace_cmd =
         write_trace recorder ~path:out ~format;
         if out <> "-" then begin
           Format.printf "%a@." Detection.pp_result r;
-          let metrics, _ =
-            Wcp_obs.Metrics.of_events (Wcp_obs.Recorder.events recorder)
-          in
-          Format.printf "%a" Wcp_obs.Metrics.pp metrics
+          Format.printf "%a" Wcp_obs.Metrics.pp
+            (Wcp_obs.Metrics.of_events (Wcp_obs.Recorder.events recorder))
         end;
         finish_metrics ()
   in
@@ -980,18 +980,19 @@ let serve_cmd =
       "Worker shards (domains) draining sessions. Default: \
        WCP_DOMAINS or the machine's recommended count."
     in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D" ~doc)
+    Arg.(
+      value & opt (some positive_int) None & info [ "domains" ] ~docv:"D" ~doc)
   in
   let ring =
     let doc =
       "Per-session in-memory ingest ring, in events; overflow spills to \
        disk, so slow drains cost a file, never the heap."
     in
-    Arg.(value & opt int 4096 & info [ "ring" ] ~docv:"EVENTS" ~doc)
+    Arg.(value & opt positive_int 4096 & info [ "ring" ] ~docv:"EVENTS" ~doc)
   in
   let batch =
     let doc = "Events decoded/drained per batch (one lock hold, one syscall)." in
-    Arg.(value & opt int 1024 & info [ "batch" ] ~docv:"EVENTS" ~doc)
+    Arg.(value & opt positive_int 1024 & info [ "batch" ] ~docv:"EVENTS" ~doc)
   in
   let sessions =
     let doc = "Exit after this many session results (0 = serve forever)." in
@@ -1034,12 +1035,21 @@ let serve_cmd =
     (* The daemon owns the process: give the accepting domain (conn
        threads decode here) the same nursery the shard workers get. *)
     Wcp_serve.Server.tune_gc cfg.Wcp_serve.Server.gc_minor_words;
+    (* OCaml runs a signal handler only when a thread of the main domain
+       polls, and an idle daemon has every thread parked (shard workers
+       in Condition.wait, the accept thread in select). So INT and TERM
+       are blocked before any thread or domain starts, which all inherit
+       the mask, and one thread takes them synchronously. *)
+    let signals = [ Sys.sigint; Sys.sigterm ] in
+    ignore (Thread.sigmask Unix.SIG_BLOCK signals : int list);
     let srv = Wcp_serve.Server.create cfg in
-    let on_signal _ = Wcp_serve.Server.stop srv in
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-     with Invalid_argument _ | Sys_error _ -> ());
+    ignore
+      (Thread.create
+         (fun () ->
+           ignore (Thread.wait_signal signals : int);
+           Wcp_serve.Server.stop srv)
+         ()
+        : Thread.t);
     Wcp_serve.Server.run srv;
     Printf.printf "served %d session%s\n"
       (Wcp_serve.Server.completed srv)
@@ -1162,6 +1172,7 @@ let feed_cmd =
     let frames =
       if jsonl then Wcp_serve.Protocol.Jsonl else Wcp_serve.Protocol.Binary
     in
+    create_outputs (Option.to_list metrics_out);
     match
       Wcp_serve.Client.run_session ~frames ~batch ~rate ?kill_after ~retry
         ~metrics_every ~on_metrics ~groups ~addr ~session ~algo
@@ -1181,9 +1192,7 @@ let feed_cmd =
         (match metrics_out with
         | None -> ()
         | Some "-" -> prerr_string (Buffer.contents mbuf)
-        | Some path -> (
-            try Wcp_obs.Export.write_file path (Buffer.contents mbuf)
-            with Sys_error m -> fail "%s" m))
+        | Some path -> write_output path (Buffer.contents mbuf))
   in
   Cmd.v
     (Cmd.info "feed"
@@ -1428,7 +1437,7 @@ let live_cmd =
   in
   let p_bug =
     Arg.(
-      value & opt float 0.4
+      value & opt probability 0.4
       & info [ "p-bug" ] ~docv:"P" ~doc:"Coordinator race probability.")
   in
   let clients =

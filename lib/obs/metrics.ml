@@ -1,94 +1,29 @@
-(* Named counters, gauges and log-scaled histograms. Everything is a
-   plain mutable record behind a per-registry name table; hot paths
-   hold the metric handle, not the registry, so an update is one or
-   two field writes. *)
-
-type counter = { c_name : string; mutable count : int }
-
-type gauge = {
-  g_name : string;
-  mutable value : float;
-  mutable max_value : float;
-}
+(* Run metrics derived from a recorded event log: see metrics.mli. *)
 
 (* Power-of-two buckets: bucket [i] holds observations [v] with
    [2^(i - bucket_offset - 1) < v <= 2^(i - bucket_offset)], so the
-   resolution is a factor of two anywhere on the axis — enough to read
-   latency distributions, cheap enough to keep always-on. Bucket 0
+   resolution is a factor of two anywhere on the axis. Bucket 0
    additionally absorbs zero and negative observations. *)
 type histogram = {
-  h_name : string;
   buckets : int array;
-  mutable h_count : int;
+  mutable count : int;
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
-
-type t = { tbl : (string, metric) Hashtbl.t; mutable order : string list }
-
 let num_buckets = 64
 
 let bucket_offset = 24 (* buckets reach down to 2^-25: sub-microsecond *)
 
-let create () = { tbl = Hashtbl.create 32; order = [] }
-
-let register t name m =
-  if Hashtbl.mem t.tbl name then
-    invalid_arg (Printf.sprintf "Metrics: %S registered twice" name);
-  Hashtbl.add t.tbl name m;
-  t.order <- name :: t.order
-
-let counter t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Counter c) -> c
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a counter" name)
-  | None ->
-      let c = { c_name = name; count = 0 } in
-      register t name (Counter c);
-      c
-
-let gauge t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Gauge g) -> g
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a gauge" name)
-  | None ->
-      let g = { g_name = name; value = 0.0; max_value = neg_infinity } in
-      register t name (Gauge g);
-      g
-
-let histogram t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Histogram h) -> h
-  | Some _ ->
-      invalid_arg (Printf.sprintf "Metrics: %S is not a histogram" name)
-  | None ->
-      let h =
-        {
-          h_name = name;
-          buckets = Array.make num_buckets 0;
-          h_count = 0;
-          sum = 0.0;
-          min_v = infinity;
-          max_v = neg_infinity;
-        }
-      in
-      register t name (Histogram h);
-      h
-
-let incr ?(by = 1) c = c.count <- c.count + by
-
-let count c = c.count
-
-let set g v =
-  g.value <- v;
-  if v > g.max_value then g.max_value <- v
-
-let value g = g.value
-
-let max_value g = g.max_value
+let histogram () =
+  {
+    buckets = Array.make num_buckets 0;
+    count = 0;
+    sum = 0.0;
+    min_v = infinity;
+    max_v = neg_infinity;
+  }
 
 let bucket_of v =
   if v <= 0.0 then 0
@@ -103,32 +38,28 @@ let bucket_upper i =
 
 let observe h v =
   h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
-  h.h_count <- h.h_count + 1;
+  h.count <- h.count + 1;
   h.sum <- h.sum +. v;
   if v < h.min_v then h.min_v <- v;
   if v > h.max_v then h.max_v <- v
 
-let observations h = h.h_count
+let hist_max h = if h.count = 0 then 0.0 else h.max_v
 
-let hist_sum h = h.sum
+let hist_min h = if h.count = 0 then 0.0 else h.min_v
 
-let hist_max h = if h.h_count = 0 then 0.0 else h.max_v
-
-let hist_min h = if h.h_count = 0 then 0.0 else h.min_v
-
-let mean h = if h.h_count = 0 then 0.0 else h.sum /. float_of_int h.h_count
+let mean h = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
 
 (* Quantile from the bucket cumulative counts: the reported value is
    the upper bound of the bucket holding the q-th observation, clamped
    into the exact observed range — within 2x of the true quantile by
    construction, and exact at the extremes. *)
 let quantile h q =
-  if h.h_count = 0 then 0.0
+  if h.count = 0 then 0.0
   else if q <= 0.0 then hist_min h
   else if q >= 1.0 then hist_max h
   else begin
-    let rank = int_of_float (ceil (q *. float_of_int h.h_count)) in
-    let rank = max 1 (min h.h_count rank) in
+    let rank = int_of_float (ceil (q *. float_of_int h.count)) in
+    let rank = max 1 (min h.count rank) in
     let cum = ref 0 and bucket = ref (num_buckets - 1) in
     (try
        for i = 0 to num_buckets - 1 do
@@ -142,135 +73,63 @@ let quantile h q =
     Float.min h.max_v (Float.max h.min_v (bucket_upper !bucket))
   end
 
-let names t = List.rev t.order
-
-let pp ppf t =
-  List.iter
-    (fun name ->
-      match Hashtbl.find t.tbl name with
-      | Counter c -> Format.fprintf ppf "%-28s %d@." c.c_name c.count
-      | Gauge g ->
-          Format.fprintf ppf "%-28s %g (max %g)@." g.g_name g.value
-            (if g.max_value = neg_infinity then 0.0 else g.max_value)
-      | Histogram h ->
-          Format.fprintf ppf
-            "%-28s n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f@." h.h_name
-            h.h_count (mean h) (quantile h 0.5) (quantile h 0.95) (hist_max h))
-    (names t)
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus text exposition                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Exposition format 0.0.4. Metric names are prefixed "wcp_" and
-   sanitized to [a-zA-Z0-9_:]; histograms render their non-empty
-   power-of-two buckets as cumulative [le] series plus the mandatory
-   [+Inf]/_sum/_count. Output order follows registration order, so the
-   page is byte-deterministic for a deterministic registry. *)
-
-let prom_name name =
-  let b = Bytes.of_string name in
-  for i = 0 to Bytes.length b - 1 do
-    match Bytes.get b i with
-    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> ()
-    | _ -> Bytes.set b i '_'
-  done;
-  "wcp_" ^ Bytes.to_string b
-
-let prom_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-let to_prometheus t =
-  let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  List.iter
-    (fun name ->
-      match Hashtbl.find t.tbl name with
-      | Counter c ->
-          let pn = prom_name c.c_name in
-          line "# TYPE %s counter\n%s %d\n" pn pn c.count
-      | Gauge g ->
-          let pn = prom_name g.g_name in
-          line "# TYPE %s gauge\n%s %s\n" pn pn (prom_float g.value);
-          line "# TYPE %s_max gauge\n%s_max %s\n" pn pn
-            (prom_float
-               (if g.max_value = neg_infinity then 0.0 else g.max_value))
-      | Histogram h ->
-          let pn = prom_name h.h_name in
-          line "# TYPE %s histogram\n" pn;
-          let cum = ref 0 in
-          for i = 0 to num_buckets - 1 do
-            if h.buckets.(i) > 0 then begin
-              cum := !cum + h.buckets.(i);
-              line "%s_bucket{le=\"%s\"} %d\n" pn
-                (prom_float (bucket_upper i))
-                !cum
-            end
-          done;
-          line "%s_bucket{le=\"+Inf\"} %d\n" pn h.h_count;
-          line "%s_sum %s\n" pn (prom_float h.sum);
-          line "%s_count %d\n" pn h.h_count)
-    (names t);
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Deriving run metrics from a recorded event log                      *)
-(* ------------------------------------------------------------------ *)
-
 type summary = {
   hop_latency : histogram;
   elims_per_hop : histogram;
-  eliminations : counter;
-  hops : counter;
-  polls : counter;
-  retransmits : counter;
-  regenerations : counter;
-  rounds : counter;
+  eliminations : int;
+  hops : int;
+  polls : int;
+  retransmits : int;
+  regenerations : int;
+  rounds : int;
 }
 
 let of_events events =
-  let t = create () in
-  let s =
-    {
-      hop_latency = histogram t "token_hop_latency";
-      elims_per_hop = histogram t "eliminations_per_hop";
-      eliminations = counter t "eliminations";
-      hops = counter t "token_hops";
-      polls = counter t "polls";
-      retransmits = counter t "retransmits";
-      regenerations = counter t "token_regenerations";
-      rounds = counter t "parallel_rounds";
-    }
-  in
-  (* Hop latency pairs each token send with the acceptance of the same
-     hop number; regenerated sends refresh the start time, so under
-     chaos the measured latency is "last send to acceptance". *)
-  let sent_at = Hashtbl.create 64 in
+  let hop_latency = histogram () and elims_per_hop = histogram () in
+  Array.iter (observe hop_latency)
+    (Span.durations Span.Token (Span.of_events events));
+  let eliminations = ref 0 and hops = ref 0 and polls = ref 0 in
+  let retransmits = ref 0 and regenerations = ref 0 and rounds = ref 0 in
   let elims_since_hop = ref 0 in
   Array.iter
     (fun (e : Event.t) ->
       if Event.is_elimination e.body then begin
-        incr s.eliminations;
-        elims_since_hop := !elims_since_hop + 1
+        incr eliminations;
+        incr elims_since_hop
       end;
       match e.body with
-      | Event.Token_sent { seq; _ } | Event.Token_regenerated { seq; _ } ->
-          Hashtbl.replace sent_at seq e.time;
-          (match e.body with
-          | Event.Token_regenerated _ -> incr s.regenerations
-          | _ -> ())
-      | Event.Token_received { seq } ->
-          incr s.hops;
-          (match Hashtbl.find_opt sent_at seq with
-          | Some t0 -> observe s.hop_latency (e.time -. t0)
-          | None -> ());
-          observe s.elims_per_hop (float_of_int !elims_since_hop);
+      | Event.Token_regenerated _ -> incr regenerations
+      | Event.Token_received _ ->
+          incr hops;
+          observe elims_per_hop (float_of_int !elims_since_hop);
           elims_since_hop := 0
-      | Event.Poll_sent _ -> incr s.polls
-      | Event.Retransmitted _ -> incr s.retransmits
-      | Event.Round_advanced _ -> incr s.rounds
+      | Event.Poll_sent _ -> incr polls
+      | Event.Retransmitted _ -> incr retransmits
+      | Event.Round_advanced _ -> incr rounds
       | _ -> ())
     events;
-  (t, s)
+  {
+    hop_latency;
+    elims_per_hop;
+    eliminations = !eliminations;
+    hops = !hops;
+    polls = !polls;
+    retransmits = !retransmits;
+    regenerations = !regenerations;
+    rounds = !rounds;
+  }
+
+let pp ppf s =
+  let count name v = Format.fprintf ppf "%-28s %d@." name v in
+  let hist name h =
+    Format.fprintf ppf "%-28s n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f@."
+      name h.count (mean h) (quantile h 0.5) (quantile h 0.95) (hist_max h)
+  in
+  count "parallel_rounds" s.rounds;
+  count "token_regenerations" s.regenerations;
+  count "retransmits" s.retransmits;
+  count "polls" s.polls;
+  count "token_hops" s.hops;
+  count "eliminations" s.eliminations;
+  hist "eliminations_per_hop" s.elims_per_hop;
+  hist "token_hop_latency" s.hop_latency

@@ -1,83 +1,37 @@
-(** Metrics registry: named counters, gauges and log-scaled histograms.
+(** Run metrics derived from a recorded event log: plain counts and two
+    log-scaled histograms.
 
-    Hot paths hold the metric handle (obtained once by name), so an
-    update is a field write or a bucket increment — no hashing, no
-    allocation. Histograms use power-of-two buckets, giving a factor-2
-    resolution everywhere on the axis with a fixed 64-word footprint;
-    min/max/sum are tracked exactly, so [mean] and the extreme
-    quantiles are exact and interior quantiles are within 2x. *)
-
-type t
-
-type counter
-
-type gauge
+    Histograms use power-of-two buckets, giving a factor-2 resolution
+    everywhere on the axis with a fixed 64-word footprint; min/max/sum
+    are tracked exactly, so the mean and the extreme quantiles are
+    exact and interior quantiles are within 2x. *)
 
 type histogram
-
-val create : unit -> t
-
-val counter : t -> string -> counter
-(** Find or register. @raise Invalid_argument if [name] is registered
-    as a different metric kind. *)
-
-val gauge : t -> string -> gauge
-
-val histogram : t -> string -> histogram
-
-val incr : ?by:int -> counter -> unit
-
-val count : counter -> int
-
-val set : gauge -> float -> unit
-
-val value : gauge -> float
-
-val max_value : gauge -> float
-(** Highest value ever [set] (0 if never set). *)
-
-val observe : histogram -> float -> unit
-
-val observations : histogram -> int
-
-val mean : histogram -> float
 
 val quantile : histogram -> float -> float
 (** [quantile h q] for [q] in [0,1]; 0 when empty. Exact at the
     extremes, within a factor of 2 in the interior. *)
 
 val hist_max : histogram -> float
-
-val hist_min : histogram -> float
-
-val hist_sum : histogram -> float
-
-val names : t -> string list
-(** Registration order. *)
-
-val pp : Format.formatter -> t -> unit
-
-val to_prometheus : t -> string
-(** The whole registry in the Prometheus text exposition format
-    (0.0.4): names prefixed [wcp_] and sanitized, counters and gauges
-    as single series (gauges also expose [_max]), histograms as
-    cumulative [le]-labelled buckets (non-empty buckets plus [+Inf])
-    with [_sum]/[_count]. Byte-deterministic: output follows
-    registration order. *)
-
-(** {2 Deriving run metrics from a recorded event log} *)
+(** 0 when empty. *)
 
 type summary = {
-  hop_latency : histogram;  (** send-to-acceptance sim time per hop *)
+  hop_latency : histogram;
+      (** the extent of each token span ({!Span.of_events}): last send
+          to acceptance, in sim time *)
   elims_per_hop : histogram;  (** eliminations between token acceptances *)
-  eliminations : counter;
-  hops : counter;
-  polls : counter;
-  retransmits : counter;
-  regenerations : counter;
-  rounds : counter;  (** parallel-checker frontier rounds *)
+  eliminations : int;
+  hops : int;
+  polls : int;
+  retransmits : int;
+  regenerations : int;
+  rounds : int;  (** parallel-checker frontier rounds *)
 }
 
-val of_events : Event.t array -> t * summary
-(** Replay a recorded log into a fresh registry. Deterministic: equal
-    logs give equal metrics. *)
+val of_events : Event.t array -> summary
+(** Replay a recorded log. Deterministic: equal logs give equal
+    metrics. *)
+
+val pp : Format.formatter -> summary -> unit
+(** One line per metric: the six counts, then the two histograms
+    (count, mean, p50, p95 and max). *)

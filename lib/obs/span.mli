@@ -8,8 +8,8 @@
     - {b token}: each token send (or watchdog regeneration) paired
       with the acceptance of the same hop number, on the sender's
       track. Regenerated sends refresh the start, so under chaos the
-      span is "last send to acceptance", matching
-      {!Metrics.of_events}'s hop latency.
+      span is "last send to acceptance". {!Metrics.of_events} reads
+      its hop latency from these spans.
     - {b round}: the interval between consecutive parallel-checker
       [Round_advanced] events (the first round starts at the log's
       first event).

@@ -270,24 +270,18 @@ type t = {
      hop counter, so a doubling array beats a hashtable on the hot
      per-hop path. *)
   mutable sent_at : float array;
-  h_hop : Metrics.histogram;  (* cumulative, for the Prometheus page *)
   every : float;
   sink : string -> unit;
   window_buf : Buffer.t;  (* scratch for [encode_window] *)
   alloc : unit -> float;
-  reg : Metrics.t;
-  c_events : Metrics.counter;
-  c_elims : Metrics.counter;
-  c_hops : Metrics.counter;
-  c_polls : Metrics.counter;
-  c_snaps : Metrics.counter;
-  c_retx : Metrics.counter;
-  c_probes : Metrics.counter;
-  c_regens : Metrics.counter;
-  c_ckpts : Metrics.counter;
-  c_restores : Metrics.counter;
-  c_replays : Metrics.counter;
-  c_wd : Metrics.counter;
+  (* Cumulative counts of the closed windows. *)
+  mutable c_events : int;
+  mutable c_elims : int;
+  mutable c_hops : int;
+  mutable c_retx : int;
+  mutable c_regens : int;
+  mutable c_ckpts : int;
+  mutable c_wd : int;
   mutable widx : int;
   mutable windows_emitted : int;
   (* open phase *)
@@ -302,7 +296,6 @@ type t = {
 let create ?(every = default_every) ?(alloc = Gc.allocated_bytes)
     ~sink () =
   if every <= 0.0 then invalid_arg "Telemetry.create: every must be > 0";
-  let reg = Metrics.create () in
   {
     closed = false;
     w_events = 0;
@@ -320,24 +313,17 @@ let create ?(every = default_every) ?(alloc = Gc.allocated_bytes)
     w_wd = 0;
     w_lat = [];
     sent_at = Array.make 64 nan;
-    h_hop = Metrics.histogram reg "token_hop_latency";
     every;
     sink;
     window_buf = Buffer.create 512;
     alloc;
-    reg;
-    c_events = Metrics.counter reg "events";
-    c_elims = Metrics.counter reg "eliminations";
-    c_hops = Metrics.counter reg "token_hops";
-    c_polls = Metrics.counter reg "polls";
-    c_snaps = Metrics.counter reg "snapshots";
-    c_retx = Metrics.counter reg "retransmits";
-    c_probes = Metrics.counter reg "wd_probes";
-    c_regens = Metrics.counter reg "token_regenerations";
-    c_ckpts = Metrics.counter reg "checkpoints";
-    c_restores = Metrics.counter reg "restores";
-    c_replays = Metrics.counter reg "replays";
-    c_wd = Metrics.counter reg "wd_stand_downs";
+    c_events = 0;
+    c_elims = 0;
+    c_hops = 0;
+    c_retx = 0;
+    c_regens = 0;
+    c_ckpts = 0;
+    c_wd = 0;
     widx = 0;
     windows_emitted = 0;
     ph_name = None;
@@ -348,10 +334,6 @@ let create ?(every = default_every) ?(alloc = Gc.allocated_bytes)
     lines = 0;
   }
 
-let registry t = t.reg
-
-let prometheus t = Metrics.to_prometheus t.reg
-
 let lines t = t.lines
 
 let send t line =
@@ -361,36 +343,21 @@ let send t line =
     | Window w -> encode_window t.window_buf w
     | l -> encode_line l)
 
-(* The registry counters are flushed from the window accumulators at
+(* The cumulative counts are flushed from the window accumulators at
    window boundaries (keeping the per-event path to one field
    increment); the live total is the flushed count plus the open
    window. *)
-let cum_events t = Metrics.count t.c_events + t.w_events
-
-(* Exact rank quantile of a small sample. *)
-let quantile_of q xs =
-  match xs with
-  | [] -> 0.0
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort Float.compare a;
-      let n = Array.length a in
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      a.(max 0 (min (n - 1) (rank - 1)))
+let cum_events t = t.c_events + t.w_events
 
 let close_window t =
-  Metrics.incr ~by:t.w_events t.c_events;
-  Metrics.incr ~by:t.w_elims t.c_elims;
-  Metrics.incr ~by:t.w_hops t.c_hops;
-  Metrics.incr ~by:t.w_polls t.c_polls;
-  Metrics.incr ~by:t.w_snaps t.c_snaps;
-  Metrics.incr ~by:t.w_retx t.c_retx;
-  Metrics.incr ~by:t.w_probes t.c_probes;
-  Metrics.incr ~by:t.w_regens t.c_regens;
-  Metrics.incr ~by:t.w_ckpts t.c_ckpts;
-  Metrics.incr ~by:t.w_restores t.c_restores;
-  Metrics.incr ~by:t.w_replays t.c_replays;
-  Metrics.incr ~by:t.w_wd t.c_wd;
+  t.c_events <- t.c_events + t.w_events;
+  t.c_elims <- t.c_elims + t.w_elims;
+  t.c_hops <- t.c_hops + t.w_hops;
+  t.c_retx <- t.c_retx + t.w_retx;
+  t.c_regens <- t.c_regens + t.w_regens;
+  t.c_ckpts <- t.c_ckpts + t.w_ckpts;
+  t.c_wd <- t.c_wd + t.w_wd;
+  let lat = Array.of_list t.w_lat in
   let w =
     {
       idx = t.widx;
@@ -408,14 +375,14 @@ let close_window t =
       restores = t.w_restores;
       replays = t.w_replays;
       stand_downs = t.w_wd;
-      hop_p50 = quantile_of 0.5 t.w_lat;
-      hop_p95 = quantile_of 0.95 t.w_lat;
-      cum_events = Metrics.count t.c_events;
-      cum_elims = Metrics.count t.c_elims;
-      cum_retx = Metrics.count t.c_retx;
-      cum_regens = Metrics.count t.c_regens;
-      cum_ckpts = Metrics.count t.c_ckpts;
-      cum_stand_downs = Metrics.count t.c_wd;
+      hop_p50 = Span.percentile lat 0.5;
+      hop_p95 = Span.percentile lat 0.95;
+      cum_events = t.c_events;
+      cum_elims = t.c_elims;
+      cum_retx = t.c_retx;
+      cum_regens = t.c_regens;
+      cum_ckpts = t.c_ckpts;
+      cum_stand_downs = t.c_wd;
     }
   in
   send t (Window w);
@@ -469,11 +436,11 @@ let open_phase t ~name ~at =
   t.ph_events0 <- cum_events t
 
 (* The per-event path. Everything here is a handful of field
-   increments: cumulative registry counters are flushed at window
-   boundaries (see [close_window]), the elimination test is folded
-   into the one body match, and [last_time] lives in an unboxed float
-   cell, so an attached plane costs the engine a closure call and some
-   integer stores per event. *)
+   increments: cumulative counts are flushed at window boundaries (see
+   [close_window]), the elimination test is folded into the one body
+   match, and [last_time] lives in an unboxed float cell, so an
+   attached plane costs the engine a closure call and some integer
+   stores per event. *)
 let feed t (e : Event.t) =
   if not t.closed then begin
     (* Close every window the event's timestamp has passed. *)
@@ -498,11 +465,7 @@ let feed t (e : Event.t) =
     | Event.Token_received { seq } ->
         t.w_hops <- t.w_hops + 1;
         let t0 = if seq < Array.length t.sent_at then t.sent_at.(seq) else nan in
-        if not (Float.is_nan t0) then begin
-          let d = e.time -. t0 in
-          Metrics.observe t.h_hop d;
-          t.w_lat <- d :: t.w_lat
-        end
+        if not (Float.is_nan t0) then t.w_lat <- (e.time -. t0) :: t.w_lat
     | Event.Poll_sent _ -> t.w_polls <- t.w_polls + 1
     | Event.Snapshot_arrived _ -> t.w_snaps <- t.w_snaps + 1
     | Event.Retransmitted _ -> t.w_retx <- t.w_retx + 1
@@ -523,9 +486,9 @@ let close t =
       (Total
          {
            windows = t.windows_emitted;
-           events = Metrics.count t.c_events;
-           elims = Metrics.count t.c_elims;
-           hops = Metrics.count t.c_hops;
+           events = t.c_events;
+           elims = t.c_elims;
+           hops = t.c_hops;
            phases = t.phases_emitted;
          })
   end

@@ -20,9 +20,9 @@
     Everything is driven by event {e sim} timestamps — the plane never
     reads wall clocks or the engine's RNG, so an attached telemetry tap
     cannot perturb a run, and equal seeds give byte-identical streams.
-
-    The same data feeds a cumulative {!Metrics} registry, exposable at
-    any moment as a Prometheus text page ({!prometheus}). *)
+    Window hop-latency percentiles are exact ({!Span.percentile}); the
+    offline, log-bucketed summary of a whole run is
+    {!Metrics.of_events}. *)
 
 type t
 
@@ -54,14 +54,6 @@ val feed : t -> Event.t -> unit
 val close : t -> unit
 (** Flush the final partial window (if nonempty) and the open phase,
     then emit the [total] trailer. Idempotent. *)
-
-val registry : t -> Metrics.t
-(** The live cumulative registry behind the stream (counters plus the
-    full-run hop-latency histogram). *)
-
-val prometheus : t -> string
-(** [Metrics.to_prometheus (registry t)]: the current cumulative state
-    as a Prometheus text exposition page. *)
 
 val lines : t -> int
 (** Lines handed to the sink so far. *)

@@ -98,6 +98,59 @@ let test_adversary_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "m=0 rejected"
 
+(* The elimination core that serves plays the same game. A candidate
+   is a queue's head, (slot, head id) with state 1, and column k of its
+   clock is 1 iff the world says slot k's head precedes it, so the
+   core's happened-before test is one S1 query. Each elimination is an
+   S2 deletion of the victim's head, after which the victim's next head
+   is queued behind its slot. *)
+let test_adversary_against_elimination () =
+  List.iter
+    (fun (n, m) ->
+      let world, stats = Adversary.make ~n ~m in
+      let clock (s, id) =
+        if world.World.head_id s <> id then
+          Alcotest.failf "n=%d m=%d: candidate %d is not slot %d's head" n m
+            id s;
+        Array.init n (fun k ->
+            if
+              k <> s
+              && world.World.remaining k > 0
+              && world.World.compare_heads k s = World.Precedes
+            then 1
+            else 0)
+      in
+      let core =
+        Elimination.create ~columns:(Array.init n Fun.id)
+          ~state:(fun _ -> 1)
+          ~clock
+      in
+      let queue_head k =
+        if world.World.remaining k > 0 then
+          Elimination.push core k (k, world.World.head_id k)
+      in
+      let on_eliminate ~victim ~by:_ =
+        world.World.delete_heads [ victim ];
+        queue_head victim
+      in
+      for k = 0 to n - 1 do
+        queue_head k
+      done;
+      (match Elimination.drive ~on_eliminate core with
+      | _ -> ()
+      | exception Adversary.Cheating msg ->
+          Alcotest.failf "n=%d m=%d: %s" n m msg);
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d m=%d deletions" n m)
+        ((n * m) - n + 1)
+        stats.Adversary.deletions;
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d m=%d starved" n m)
+        true
+        (Elimination.starved core
+           ~finished:(Array.init n (fun k -> world.World.remaining k = 0))))
+    [ (2, 1); (2, 3); (3, 3); (4, 4); (6, 6); (8, 16); (16, 16) ]
+
 let test_world_of_computation_heads () =
   let b = Builder.create ~n:2 in
   Builder.set_pred b ~proc:0 true;
@@ -194,6 +247,8 @@ let () =
           Alcotest.test_case "rejects bulk deletion" `Quick
             test_adversary_rejects_bulk_deletion;
           Alcotest.test_case "validation" `Quick test_adversary_validation;
+          Alcotest.test_case "elimination core forced to nm - n + 1" `Quick
+            test_adversary_against_elimination;
         ] );
       ( "world",
         [ Alcotest.test_case "computation heads" `Quick
